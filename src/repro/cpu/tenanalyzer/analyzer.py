@@ -15,8 +15,7 @@ non-tensor applications.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 from repro import vec
 from repro.cpu.tenanalyzer.entry import MetaTableEntry, WriteOutcomeKind
@@ -30,6 +29,11 @@ from repro.sim.trace_batch import KIND_READ
 from repro.units import CACHELINE_BYTES
 
 LINE = CACHELINE_BYTES
+
+
+def _plain_ints(column: Sequence[int]) -> Sequence[int]:
+    """A trace column as plain ``int`` values (NumPy arrays convert)."""
+    return column.tolist() if hasattr(column, "tolist") else column
 
 
 class ReadKind(enum.Enum):
@@ -48,8 +52,7 @@ class WriteKind(enum.Enum):
     MISS = "miss"
 
 
-@dataclass(frozen=True)
-class ReadResult:
+class ReadResult(NamedTuple):
     """VN decision for one read."""
 
     kind: ReadKind
@@ -60,8 +63,7 @@ class ReadResult:
     critical_fetch: bool  # True when the fetch stalls the request (miss)
 
 
-@dataclass(frozen=True)
-class WriteResult:
+class WriteResult(NamedTuple):
     """Bookkeeping outcome of one write."""
 
     kind: WriteKind
@@ -209,108 +211,77 @@ class TenAnalyzer:
         """Replay one columnar trace window; returns the per-access VNs.
 
         ``vaddrs``/``kinds`` are :class:`repro.sim.trace_batch.TraceBatch`
-        columns (``columns()`` lists); any non-read kind is replayed as a
-        write-back, matching the experiment drivers' historical handling.
+        columns, as the batch's arrays or as ``columns()`` lists; any
+        non-read kind is replayed as a write-back, matching the experiment
+        drivers' historical handling.
 
-        Behind :func:`repro.vec.enabled` this inlines the read/write
-        dataflows into one loop — no per-access ``ReadResult`` /
-        ``WriteResult`` objects, classification counters folded into
-        ``Stats`` in bulk. The scalar reference replays
-        :meth:`on_read_va` / :meth:`on_write_va` per element. Table, filter
-        and VN-store mutations are identical in both modes, as are the
-        final counter totals.
+        The scalar reference replays :meth:`on_read_va` / :meth:`on_write_va`
+        per element. Behind :func:`repro.vec.enabled` the window is split
+        once into maximal runs of same-kind, line-contiguous accesses and
+        the common case of a run is applied in bulk:
+
+        - reads inside one resident entry are one LRU step with bulk VNs;
+        - writes inside one entry that neither complete it nor hit a
+          flipped line are one bitmap update and one Tensor Filter snoop.
+
+        Every other access — boundary, miss, completion, Assert1
+        violation, EnTMF off — takes the per-access dataflow. VNs, table,
+        filter and VN-store state and counter totals are identical in both
+        modes (pinned by ``tests/test_trace_batch.py``).
         """
-        if not vec.enabled():
+        if not vec.enabled() or not self.enabled:
             return [
                 self.on_read_va(vaddr).vn if kind == KIND_READ else self.on_write_va(vaddr).vn
-                for vaddr, kind in zip(vaddrs, kinds)
+                for vaddr, kind in zip(_plain_ints(vaddrs), _plain_ints(kinds))
             ]
-        table = self.table
-        filt = self.filter
-        store = self.vn_store
-        lookup = table.lookup
-        entry_of = table.entry_of
-        store_read = store.read
-        store_bump = store.bump
-        drop_covering = filt.drop_covering
-        observe = filt.observe
-        enabled = self.enabled
-        read_hit_in = read_hit_boundary = read_miss = mispredicts = 0
-        write_miss = write_violation = write_completed = write_hit_edge = write_hit_in = 0
+        if not len(vaddrs):
+            return []
+        np = vec.np
+        va = np.asarray(vaddrs, dtype=np.int64)
+        reads = np.asarray(kinds, dtype=np.int64) == KIND_READ
+        run_starts = np.flatnonzero(
+            np.concatenate(([True], (np.diff(va) != LINE) | (reads[1:] != reads[:-1])))
+        )
+        runs = zip(
+            va[run_starts].tolist(),
+            np.diff(run_starts, append=len(va)).tolist(),
+            reads[run_starts].tolist(),
+        )
+        covered_run = self.table.covered_run
+        touch_run = self.table.touch_run
+        drop_covering = self.filter.drop_covering
+        on_read_va = self.on_read_va
+        on_write_va = self.on_write_va
+        read_hit_in = write_hit_edge = write_hit_in = 0
         vns: List[int] = []
         append = vns.append
-        for vaddr, kind in zip(vaddrs, kinds):
-            if kind == KIND_READ:
-                if not enabled:
-                    read_miss += 1
-                    append(store_read(vaddr))
-                    continue
-                lookup_kind, entry = lookup(vaddr)
-                if lookup_kind is LookupKind.HIT_IN:
-                    read_hit_in += 1
-                    append(entry.vn_for_line(vaddr))
-                    continue
-                if lookup_kind is LookupKind.HIT_BOUNDARY:
-                    offchip_vn = store_read(vaddr)
-                    if offchip_vn == entry.vn:
-                        table.extend(entry)
-                        drop_covering(vaddr)
-                        read_hit_boundary += 1
-                        append(entry.vn)
+        extend = vns.extend
+        for vaddr, remaining, reading in runs:
+            while remaining:
+                entry, n = covered_run(vaddr, remaining)
+                if reading:
+                    if entry is None:
+                        append(on_read_va(vaddr).vn)
+                        n = 1
                     else:
-                        mispredicts += 1
-                        read_miss += 1
-                        append(offchip_vn)
-                    continue
-                offchip_vn = store_read(vaddr)
-                read_miss += 1
-                geometry = observe(vaddr, offchip_vn)
-                if geometry is not None:
-                    table.insert(geometry, vn=offchip_vn, source="filter")
-                append(offchip_vn)
-            else:
-                if enabled:
-                    drop_covering(vaddr)
-                    entry = entry_of(vaddr)
+                        touch_run(entry, n)
+                        read_hit_in += n
+                        extend(entry.vns_for_run(vaddr, n))
                 else:
-                    entry = None
-                if entry is None:
-                    write_miss += 1
-                    append(store_bump(vaddr))
-                    continue
-                outcome = entry.write_line(vaddr)
-                if outcome is WriteOutcomeKind.VIOLATION:
-                    table.invalidate(entry, reason="assert")
-                    write_violation += 1
-                    append(store_bump(vaddr))
-                    continue
-                # mac_delta is 0 on replay: entry.mac is unchanged.
-                if outcome is WriteOutcomeKind.COMPLETED:
-                    append(entry.vn)
-                    write_completed += 1
-                    table.merge_updated(entry)
-                    write_hit_edge += 1
-                elif outcome is WriteOutcomeKind.HIT_EDGE:
-                    append(entry.vn + 1)
-                    write_hit_edge += 1
-                else:
-                    append(entry.vn + 1)
-                    write_hit_in += 1
+                    n, edges = entry.write_run(vaddr, n) if entry is not None else (0, 0)
+                    if n:
+                        drop_covering(vaddr, n)
+                        write_hit_edge += edges
+                        write_hit_in += n - edges
+                        extend([entry.vn + 1] * n)
+                    else:
+                        append(on_write_va(vaddr).vn)
+                        n = 1
+                vaddr += n * LINE
+                remaining -= n
         stats = self.stats
         if read_hit_in:
             stats.add("read_hit_in", read_hit_in)
-        if read_hit_boundary:
-            stats.add("read_hit_boundary", read_hit_boundary)
-        if read_miss:
-            stats.add("read_miss", read_miss)
-        if mispredicts:
-            stats.add("boundary_mispredict", mispredicts)
-        if write_miss:
-            stats.add("write_miss", write_miss)
-        if write_violation:
-            stats.add("write_violation", write_violation)
-        if write_completed:
-            stats.add("write_completed_tensors", write_completed)
         if write_hit_edge:
             stats.add("write_hit_edge", write_hit_edge)
         if write_hit_in:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Set
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SimulationError
 from repro.units import CACHELINE_BYTES
@@ -74,17 +74,30 @@ class EntryGeometry:
             return self.base_va + (self.count * self.stride_lines + self.tail_lines - 1) * LINE
         return self.base_va + ((self.count - 1) * self.stride_lines + self.run_lines - 1) * LINE
 
+    def run_from(self, vaddr: int) -> int:
+        """How many consecutive covered lines start at ``vaddr`` (0 if uncovered).
+
+        O(1): the covered lines of a contiguous geometry run to its end;
+        a strided one's run to the end of ``vaddr``'s row (or tail).
+        """
+        line, misaligned = divmod(vaddr - self.base_va, LINE)
+        if line < 0 or misaligned:
+            return 0
+        run, stride = self.run_lines, self.stride_lines
+        if stride == run:
+            left = self.count * run + self.tail_lines - line
+        else:
+            row, col = divmod(line, stride)
+            if row < self.count:
+                left = run - col
+            elif row == self.count:
+                left = self.tail_lines - col
+            else:
+                return 0
+        return left if left > 0 else 0
+
     def contains_line(self, vaddr: int) -> bool:
-        offset = vaddr - self.base_va
-        if offset < 0 or offset % LINE:
-            return False
-        line = offset // LINE
-        row, col = divmod(line, self.stride_lines)
-        if row < self.count:
-            return col < self.run_lines
-        if row == self.count:
-            return col < self.tail_lines
-        return False
+        return self.run_from(vaddr) > 0
 
     def boundary_va(self) -> int:
         """The single next-extension address (Fig. 10 "hit boundary")."""
@@ -103,26 +116,23 @@ class EntryGeometry:
             self.count += 1
             self.tail_lines = 0
 
-    def covered_lines(self) -> Iterator[int]:
-        """All covered line addresses, ascending."""
-        for row in range(self.count):
-            row_base = self.base_va + row * self.stride_lines * LINE
-            for col in range(self.run_lines):
-                yield row_base + col * LINE
-        tail_base = self.base_va + self.count * self.stride_lines * LINE
-        for col in range(self.tail_lines):
-            yield tail_base + col * LINE
+    def covered_lines(self) -> Sequence[int]:
+        """All covered line addresses, ascending (a ``range`` when contiguous)."""
+        if self.stride_lines == self.run_lines:
+            return range(self.base_va, self.base_va + self.n_lines * LINE, LINE)
+        row_bytes = self.stride_lines * LINE
+        lines = [
+            self.base_va + row * row_bytes + col * LINE
+            for row in range(self.count)
+            for col in range(self.run_lines)
+        ]
+        tail_base = self.base_va + self.count * row_bytes
+        lines.extend(range(tail_base, tail_base + self.tail_lines * LINE, LINE))
+        return lines
 
     def is_edge_line(self, vaddr: int) -> bool:
         """First or last covered line (Fig. 12 "hit edge")."""
         return vaddr == self.base_va or vaddr == self.last_line_va
-
-
-def _normalized(geometry: EntryGeometry) -> Optional[tuple[int, int, int, int]]:
-    """(base, run, stride, count) of a merge-ready geometry; None if partial."""
-    if geometry.tail_lines:
-        return None
-    return (geometry.base_va, geometry.run_lines, geometry.stride_lines, geometry.count)
 
 
 #: Largest representable row stride: the Meta Table stride field is 10 bits
@@ -139,14 +149,16 @@ def try_merge_geometries(a: EntryGeometry, b: EntryGeometry) -> Optional[EntryGe
     concatenation, inner (column-wise) concatenation of equal-shape bands,
     contiguous 1D concatenation, and the contiguity collapse back to 1D.
     Ordering is normalised so both "directions" per dimension are covered.
+    Partial geometries (a tail row in progress) never merge.
     """
-    norm_a, norm_b = _normalized(a), _normalized(b)
-    if norm_a is None or norm_b is None:
+    if a.tail_lines or b.tail_lines:
         return None
-    if norm_b[0] < norm_a[0]:
-        norm_a, norm_b = norm_b, norm_a
-    base_a, run_a, stride_a, count_a = norm_a
-    base_b, run_b, stride_b, count_b = norm_b
+    if b.base_va < a.base_va:
+        a, b = b, a
+    base_a, run_a, stride_a, count_a = a.base_va, a.run_lines, a.stride_lines, a.count
+    base_b, run_b, stride_b, count_b = b.base_va, b.run_lines, b.stride_lines, b.count
+    if run_a != run_b and base_b != base_a + run_a * LINE:
+        return None  # every merge below needs equal runs or abutting bands
 
     merged: Optional[EntryGeometry] = None
 
@@ -257,6 +269,16 @@ class MetaTableEntry:
             raise SimulationError(f"line {vaddr:#x} not covered by entry")
         return self.vn + 1 if vaddr in self.flipped else self.vn
 
+    def vns_for_run(self, vaddr: int, n_lines: int) -> List[int]:
+        """Effective VNs of ``n_lines`` covered lines from ``vaddr``."""
+        vn, flipped = self.vn, self.flipped
+        if not flipped:
+            return [vn] * n_lines
+        return [
+            vn + 1 if line in flipped else vn
+            for line in range(vaddr, vaddr + n_lines * LINE, LINE)
+        ]
+
     # -- write path (Fig. 12) --------------------------------------------------
 
     def write_line(self, vaddr: int) -> WriteOutcomeKind:
@@ -283,6 +305,26 @@ class MetaTableEntry:
         if self.geometry.is_edge_line(vaddr):
             return WriteOutcomeKind.HIT_EDGE
         return WriteOutcomeKind.HIT_IN
+
+    def write_run(self, vaddr: int, n_lines: int) -> Tuple[int, int]:
+        """Write up to ``n_lines`` covered lines from ``vaddr`` as one
+        bitmap update; returns ``(written, edge lines among them)``.
+
+        Same effect as ``written`` :meth:`write_line` calls that each
+        return HIT_EDGE or HIT_IN. The run stops before the line that
+        completes the update, and writes nothing when one of its lines is
+        already flipped (Assert1): those are :meth:`write_line`'s to
+        classify, so ``(0, 0)`` leaves the first line to it.
+        """
+        geometry, flipped = self.geometry, self.flipped
+        n_lines = min(n_lines, geometry.n_lines - 1 - len(flipped))
+        lines = range(vaddr, vaddr + n_lines * LINE, LINE)
+        if n_lines <= 0 or (flipped and not flipped.isdisjoint(lines)):
+            return 0, 0
+        self.updating = True
+        flipped.update(lines)
+        # A writable run leaves a line unwritten, so first and last line differ.
+        return n_lines, (geometry.base_va in lines) + (geometry.last_line_va in lines)
 
     def per_line_vns(self) -> Iterator[tuple[int, int]]:
         """(line VA, effective VN) pairs, used to sync off-chip VNs."""

@@ -20,9 +20,6 @@ from repro.cpu.tenanalyzer.entry import (
 )
 from repro.cpu.tenanalyzer.vn_store import OffChipVnStore
 from repro.sim.stats import Stats
-from repro.units import CACHELINE_BYTES
-
-LINE = CACHELINE_BYTES
 
 
 class LookupKind(enum.Enum):
@@ -71,22 +68,24 @@ class MetaTable:
     # -- indexing helpers ----------------------------------------------------
 
     def _index_entry(self, entry_id: int, entry: MetaTableEntry) -> None:
-        for vaddr in entry.geometry.covered_lines():
-            self._line_map[vaddr] = entry_id
+        self._line_map.update(dict.fromkeys(entry.geometry.covered_lines(), entry_id))
         self._boundary_map[entry.geometry.boundary_va()] = entry_id
 
     def _unindex_entry(self, entry_id: int, entry: MetaTableEntry) -> None:
+        # Resident entries never overlap (_admit steals collisions, a merge
+        # covers exactly its two parts), so each covered line maps to this one.
+        pop = self._line_map.pop
         for vaddr in entry.geometry.covered_lines():
-            if self._line_map.get(vaddr) == entry_id:
-                del self._line_map[vaddr]
+            pop(vaddr)
         boundary = entry.geometry.boundary_va()
         if self._boundary_map.get(boundary) == entry_id:
             del self._boundary_map[boundary]
 
-    def _touch(self, entry_id: int) -> None:
-        self._tick += 1
-        self._entries[entry_id].lru_tick = self._tick
-        self._note_updated(entry_id)
+    def touch_run(self, entry: MetaTableEntry, n_lines: int = 1) -> None:
+        """LRU effect of ``n_lines`` consecutive hit-in lookups of ``entry``."""
+        self._tick += n_lines
+        entry.lru_tick = self._tick
+        self._note_updated(entry.entry_id)
 
     def _note_updated(self, entry_id: int) -> None:
         """Track recently-touched entries: the candidate window for merging.
@@ -96,12 +95,13 @@ class MetaTable:
         the re-detected shard next to it, which is how sharded tensors
         consolidate across iterations.
         """
-        if self._recent_updates and self._recent_updates[-1] == entry_id:
+        recent = self._recent_updates
+        if recent and recent[-1] == entry_id:
             return
-        if entry_id in self._recent_updates:
-            self._recent_updates.remove(entry_id)
-        self._recent_updates.append(entry_id)
-        del self._recent_updates[: -4 * self.merge_window]
+        if entry_id in recent:
+            recent.remove(entry_id)
+        recent.append(entry_id)
+        del recent[: -4 * self.merge_window]
 
     # -- lookup ---------------------------------------------------------------
 
@@ -109,18 +109,34 @@ class MetaTable:
         """Classify one request address against the table."""
         entry_id = self._line_map.get(vaddr)
         if entry_id is not None:
-            self._touch(entry_id)
-            return LookupKind.HIT_IN, self._entries[entry_id]
+            entry = self._entries[entry_id]
+            self.touch_run(entry)
+            return LookupKind.HIT_IN, entry
         entry_id = self._boundary_map.get(vaddr)
         if entry_id is not None:
-            self._touch(entry_id)
-            return LookupKind.HIT_BOUNDARY, self._entries[entry_id]
+            entry = self._entries[entry_id]
+            self.touch_run(entry)
+            return LookupKind.HIT_BOUNDARY, entry
         return LookupKind.MISS, None
 
     def entry_of(self, vaddr: int) -> Optional[MetaTableEntry]:
         """Covering entry without LRU side effects."""
         entry_id = self._line_map.get(vaddr)
         return self._entries.get(entry_id) if entry_id is not None else None
+
+    def covered_run(self, vaddr: int, n_lines: int) -> Tuple[Optional[MetaTableEntry], int]:
+        """The entry covering ``vaddr`` and how many of the ``n_lines``
+        lines from ``vaddr`` it covers; ``(None, 0)`` when uncovered.
+
+        No LRU side effects. Every covered line of a resident entry maps to
+        that entry in the line index, so the count comes from the entry's
+        geometry in O(1).
+        """
+        entry_id = self._line_map.get(vaddr)
+        if entry_id is None:
+            return None, 0
+        entry = self._entries[entry_id]
+        return entry, min(n_lines, entry.geometry.run_from(vaddr))
 
     # -- mutation ---------------------------------------------------------------
 
@@ -186,8 +202,7 @@ class MetaTable:
         coverage completed since their creation (Fig. 11b tiling).
         """
         current_id = self._merge_against_window(entry_id)
-        window = [i for i in reversed(self._recent_updates)][: self.merge_window]
-        for candidate_id in window:
+        for candidate_id in self._recent_updates[::-1][: self.merge_window]:
             if candidate_id in self._entries and candidate_id != current_id:
                 merged_to = self._merge_against_window(candidate_id)
                 if current_id not in self._entries:
@@ -195,26 +210,29 @@ class MetaTable:
         return current_id
 
     def _merge_against_window(self, entry_id: int) -> int:
+        entries = self._entries
         current_id = entry_id
-        merged_any = True
-        while merged_any:
-            merged_any = False
-            current = self._entries[current_id]
-            if not current.mergeable:
-                break
-            window = [i for i in reversed(self._recent_updates) if i != current_id]
+        current = entries[current_id]
+        while current.mergeable:
+            window = self._recent_updates[::-1]  # ids are unique, most recent first
+            if current_id in window:
+                window.remove(current_id)
             for other_id in window[: self.merge_window]:
-                other = self._entries.get(other_id)
-                if other is None or other is current or not other.mergeable:
-                    continue
-                if other.vn != current.vn:
+                other = entries.get(other_id)
+                if (
+                    other is None
+                    or other is current
+                    or other.vn != current.vn
+                    or not other.mergeable
+                ):
                     continue
                 combined = try_merge_geometries(current.geometry, other.geometry)
-                if combined is None:
-                    continue
-                current_id = self._apply_merge(current_id, other_id, combined)
-                self.stats.add("merges")
-                merged_any = True
+                if combined is not None:
+                    current_id = self._apply_merge(current_id, other_id, combined)
+                    self.stats.add("merges")
+                    current = entries[current_id]
+                    break
+            else:
                 break
         return current_id
 
@@ -258,11 +276,14 @@ class MetaTable:
     def invalidate(self, entry: MetaTableEntry, reason: str = "assert") -> int:
         """Drop an entry, syncing per-line VNs off-chip; returns sync count."""
         entry_id = self._id_of(entry)
-        synced = 0
-        for vaddr, vn in entry.per_line_vns():
-            if self.vn_store.read(vaddr) != vn:
-                self.vn_store.set(vaddr, vn)
-                synced += 1
+        if entry.flipped:
+            synced = 0
+            for vaddr, vn in entry.per_line_vns():
+                if self.vn_store.read(vaddr) != vn:
+                    self.vn_store.set(vaddr, vn)
+                    synced += 1
+        else:
+            synced = self.vn_store.sync(entry.geometry.covered_lines(), entry.vn)
         self._unindex_entry(entry_id, entry)
         del self._entries[entry_id]
         if entry_id in self._recent_updates:
@@ -296,12 +317,6 @@ class MetaTable:
         return list(self._entries.values())
 
     def covering_range(self, base_va: int, n_lines: int) -> Optional[MetaTableEntry]:
-        """Entry covering the whole line range, or None."""
-        entry_id = self._line_map.get(base_va)
-        if entry_id is None:
-            return None
-        entry = self._entries[entry_id]
-        last = base_va + (n_lines - 1) * LINE
-        if entry.geometry.contains_line(last) and self._line_map.get(last) == entry_id:
-            return entry
-        return None
+        """Entry covering every line of the contiguous range, or None."""
+        entry, covered = self.covered_run(base_va, n_lines)
+        return entry if 0 < n_lines == covered else None

@@ -249,10 +249,24 @@ class TensorFilter:
         self._entries.append(FilterEntry(vaddr, vn, lru_tick=self._tick))
         self.stats.add("allocations")
 
-    def drop_covering(self, vaddr: int) -> None:
-        """Drop any stream that already reached past ``vaddr`` (rare overlap)."""
+    def drop_covering(self, vaddr: int, n_lines: int = 1) -> None:
+        """Drop any stream that already reached past one of the ``n_lines``
+        line addresses from ``vaddr`` (rare overlap).
+
+        Point-exact: drops the same streams as ``n_lines`` single-address
+        calls. A stream is reached when the first run address at or above
+        its base lies inside the run and below its next address.
+        """
+        if not self._entries:
+            return
+        last = vaddr + (n_lines - 1) * LINE
         self._entries = [
-            e for e in self._entries if not (e.base_va <= vaddr < e.next_va)
+            e
+            for e in self._entries
+            if not (
+                e.base_va <= last
+                and max(vaddr, vaddr - (vaddr - e.base_va) // LINE * LINE) < e.next_va
+            )
         ]
 
     @property

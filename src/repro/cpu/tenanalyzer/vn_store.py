@@ -40,11 +40,13 @@ class OffChipVnStore:
 
         Returns how many lines actually changed (the write-back traffic).
         """
+        store = self._vn
+        get = store.get
         changed = 0
         for vaddr in vaddrs:
-            line = self._line(vaddr)
-            if self._vn.get(line, 0) != vn:
-                self._vn[line] = vn
+            line = vaddr - vaddr % CACHELINE_BYTES
+            if get(line, 0) != vn:
+                store[line] = vn
                 changed += 1
         return changed
 
@@ -62,7 +64,7 @@ class OffChipVnStore:
         """Set ``n_lines`` consecutive lines to ``vn`` in one update."""
         base = self._line(base_va)
         line = CACHELINE_BYTES
-        self._vn.update((base + i * line, vn) for i in range(n_lines))
+        self._vn.update(dict.fromkeys(range(base, base + n_lines * line, line), vn))
 
     def set_strided(
         self, base_va: int, count: int, stride_lines: int, vn: int, run_lines: int = 1

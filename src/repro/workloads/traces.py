@@ -18,8 +18,8 @@ preserving stream structure (see DESIGN.md Sec. 2).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro import vec
 from repro.errors import ConfigError
@@ -54,6 +54,11 @@ class AdamGroup:
     weight16: TensorDesc
     layout: str = "flat"
     fused: Optional[TensorDesc] = None
+    #: Per-thread burst streams by ``(threads, burst_lines,
+    #: write_lag_bursts)``, built on first use by :func:`_layer_streams`.
+    _streams: Dict[Tuple[int, int, int], "_LayerStreams"] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def read_tensors(self) -> Tuple[TensorDesc, ...]:
@@ -304,6 +309,47 @@ def _thread_layer_columns(
     return vaddr, kind, tensor_id, bounds
 
 
+class _LayerStreams(NamedTuple):
+    """Every thread's bursts for one layer, built once per group and shape."""
+
+    #: vaddr, kind, thread and tensor_id arrays, thread-major. Kind and
+    #: thread are stored narrow to keep the cache small; ``TraceBatch``
+    #: widens every column to int64.
+    columns: Tuple[Any, ...]
+    #: Per thread, each burst's ``[start, stop)`` span of ``columns``.
+    bursts: List[List[Tuple[int, int]]]
+
+
+#: Column dtypes of :class:`_LayerStreams`.
+_STREAM_DTYPES = ("int64", "int8", "int16", "int64")
+
+
+def _layer_streams(group: AdamGroup, config: AdamTraceConfig) -> _LayerStreams:
+    """The group's per-thread column streams for ``config``'s shape.
+
+    They depend only on the group and on ``threads`` / ``burst_lines`` /
+    ``write_lag_bursts``, so they are built once and reused by every
+    iteration; only the RNG-driven interleave runs per iteration.
+    """
+    key = (config.threads, config.burst_lines, config.write_lag_bursts)
+    streams = group._streams.get(key)
+    if streams is None:
+        rows: Tuple[List[int], ...] = ([], [], [], [])
+        bursts = []
+        for t in range(config.threads):
+            t_vaddr, t_kind, t_tensor, bounds = _thread_layer_columns(group, t, *key)
+            offset = len(rows[0])
+            rows[0].extend(t_vaddr)
+            rows[1].extend(t_kind)
+            rows[2].extend([t] * len(t_vaddr))
+            rows[3].extend(t_tensor)
+            bursts.append([(offset + start, offset + stop) for start, stop in bounds])
+        columns = tuple(vec.np.array(row, dtype=dtype) for row, dtype in zip(rows, _STREAM_DTYPES))
+        streams = _LayerStreams(columns, bursts)
+        group._streams[key] = streams
+    return streams
+
+
 def adam_iteration_batch(
     groups: Sequence[AdamGroup],
     config: AdamTraceConfig,
@@ -317,41 +363,44 @@ def adam_iteration_batch(
     object generator consumed, so seeded runs are unaffected by the
     representation.
 
-    Vector mode assembles the columns by whole-burst slice extends; the
-    scalar reference runs the original per-access object generator and
-    columnarizes it. Identical batches either way.
+    Vector mode reuses each group's per-thread column streams
+    (:func:`_layer_streams`) and gathers the interleaved bursts in one
+    array index per layer; the scalar reference runs the original
+    per-access object generator and columnarizes it. Identical batches
+    either way.
     """
     rng = rng if rng is not None else random.Random(config.seed)
     if not vec.enabled():
         return TraceBatch.from_accesses(_adam_iteration_objects(groups, config, rng))
-    vaddr: List[int] = []
-    kind: List[int] = []
-    thread_col: List[int] = []
-    tensor_id: List[int] = []
+    np = vec.np
+    skew = config.thread_skew
+    parts = []
     for group in groups:
-        per_thread = [
-            _thread_layer_columns(
-                group, t, config.threads, config.burst_lines, config.write_lag_bursts
-            )
-            for t in range(config.threads)
-        ]
+        streams = _layer_streams(group, config)
         cursors = [0] * config.threads
-        remaining = sum(len(cols[3]) for cols in per_thread)
+        remaining = sum(len(bursts) for bursts in streams.bursts)
+        starts: List[int] = []
+        stops: List[int] = []
         while remaining:
-            for t in range(config.threads):
-                t_vaddr, t_kind, t_tensor, bounds = per_thread[t]
-                if cursors[t] >= len(bounds):
+            for t, bursts in enumerate(streams.bursts):
+                if cursors[t] >= len(bursts):
                     continue
-                if config.thread_skew and rng.random() < config.thread_skew:
+                if skew and rng.random() < skew:
                     continue
-                start, stop = bounds[cursors[t]]
-                vaddr.extend(t_vaddr[start:stop])
-                kind.extend(t_kind[start:stop])
-                tensor_id.extend(t_tensor[start:stop])
-                thread_col.extend([t] * (stop - start))
+                start, stop = bursts[cursors[t]]
+                starts.append(start)
+                stops.append(stop)
                 cursors[t] += 1
                 remaining -= 1
-    return TraceBatch.from_columns(vaddr, kind, thread_col, tensor_id)
+        # Gather index of the chosen bursts, in the order the controller sees them.
+        first = np.array(starts)
+        lengths = np.array(stops) - first
+        ends = np.cumsum(lengths)
+        index = np.arange(ends[-1]) + np.repeat(first - (ends - lengths), lengths)
+        parts.append([column[index] for column in streams.columns])
+    if not parts:
+        return TraceBatch.empty()
+    return TraceBatch.from_columns(*(np.concatenate(column) for column in zip(*parts)))
 
 
 def adam_iteration_trace(

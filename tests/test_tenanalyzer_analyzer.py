@@ -9,6 +9,7 @@ from repro.cpu.tenanalyzer import TenAnalyzer
 from repro.cpu.tenanalyzer.analyzer import ReadKind, WriteKind
 from repro.cpu.tenanalyzer.tensor_filter import TensorFilter
 from repro.sim.trace import AccessKind, MemAccess
+from repro.sim.trace_batch import TraceBatch
 from repro.tensor.registry import TensorRegistry
 from repro.units import KiB
 from repro.workloads.traces import AdamTraceConfig, adam_iteration_trace, build_adam_groups
@@ -160,14 +161,46 @@ class TestTransferInstall:
         metadata = analyzer.metadata_for_range(BASE, 16)
         assert metadata is not None and metadata[0] == 5
 
+    def test_metadata_for_range_needs_every_line_covered(self):
+        analyzer = TenAnalyzer()
+        # Covers BASE + {0, 8, 16, 24} lines: a contiguous 25-line range
+        # starting at BASE has 21 uncovered lines, so no metadata for it.
+        analyzer.install_from_transfer(BASE, 4, vn=3, stride_lines=8)
+        assert analyzer.metadata_for_range(BASE, 25) is None
+        assert analyzer.metadata_for_range(BASE, 1) == (3, 0)
+        assert analyzer.metadata_for_range(BASE + 8 * LINE, 1) == (3, 0)
+
     def test_metadata_unavailable_when_uncovered(self):
         analyzer = TenAnalyzer()
         assert analyzer.metadata_for_range(BASE, 16) is None
 
 
+#: How a trace reaches the analyzer: one access at a time through
+#: ``on_read``/``on_write``, or as a whole window through ``replay_window``.
+MODES = ("per_access", "replay")
+
+
+def _check_vns(analyzer, accesses, mode, truth):
+    """Feed ``accesses`` in ``mode`` and check every VN against ``truth``."""
+    if mode == "replay":
+        vaddrs, kinds, _, _ = TraceBatch.from_accesses(accesses).columns()
+        vns = analyzer.replay_window(vaddrs, kinds)
+    else:
+        vns = [
+            analyzer.on_read(a).vn if a.kind is AccessKind.READ else analyzer.on_write(a).vn
+            for a in accesses
+        ]
+    for access, vn in zip(accesses, vns):
+        if access.kind is AccessKind.READ:
+            assert vn == truth.get(access.vaddr, 0)
+        else:
+            truth[access.vaddr] = truth.get(access.vaddr, 0) + 1
+            assert vn == truth[access.vaddr]
+
+
 class TestVnConsistencyInvariant:
     """The central security invariant: the VN the analyzer supplies always
-    equals the ground-truth write count of the line."""
+    equals the ground-truth write count of the line, in every input mode."""
 
     @given(seed=st.integers(0, 2**16), threads=st.sampled_from([1, 2, 4]))
     @settings(max_examples=8, deadline=None)
@@ -175,32 +208,24 @@ class TestVnConsistencyInvariant:
         registry = TensorRegistry(alignment=4 * KiB, guard_bytes=256 * KiB)
         groups = build_adam_groups(registry, n_layers=2, lines_per_tensor=16)
         config = AdamTraceConfig(threads=threads, thread_skew=0.2, seed=seed)
-        analyzer = TenAnalyzer(capacity=24)  # force eviction churn too
-        rng = random.Random(seed)
-        truth = {}
-        for _ in range(3):
-            for access in adam_iteration_trace(groups, config, rng):
-                if access.kind is AccessKind.READ:
-                    result = analyzer.on_read(access)
-                    assert result.vn == truth.get(access.vaddr, 0)
-                else:
-                    outcome = analyzer.on_write(access)
-                    truth[access.vaddr] = truth.get(access.vaddr, 0) + 1
-                    assert outcome.vn == truth[access.vaddr]
+        for mode in MODES:
+            analyzer = TenAnalyzer(capacity=24)  # force eviction churn too
+            rng = random.Random(seed)
+            truth = {}
+            for _ in range(3):
+                _check_vns(analyzer, adam_iteration_trace(groups, config, rng), mode, truth)
 
     @given(seed=st.integers(0, 2**16))
     @settings(max_examples=8, deadline=None)
     def test_property_random_mixed_traffic_consistent(self, seed):
         rng = random.Random(seed)
-        analyzer = TenAnalyzer(capacity=16)
-        truth = {}
         lines = [BASE + i * LINE for i in range(64)]
-        for _ in range(600):
-            va = rng.choice(lines)
-            if rng.random() < 0.5:
-                result = analyzer.on_read(MemAccess(va, AccessKind.READ))
-                assert result.vn == truth.get(va, 0)
-            else:
-                outcome = analyzer.on_write(MemAccess(va, AccessKind.WRITE))
-                truth[va] = truth.get(va, 0) + 1
-                assert outcome.vn == truth[va]
+        accesses = [
+            MemAccess(
+                rng.choice(lines),
+                AccessKind.READ if rng.random() < 0.5 else AccessKind.WRITE,
+            )
+            for _ in range(600)
+        ]
+        for mode in MODES:
+            _check_vns(TenAnalyzer(capacity=16), accesses, mode, {})

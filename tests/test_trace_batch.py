@@ -11,11 +11,13 @@ parity guarantee.
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import vec
 from repro.cpu.metadata_model import measure_sgx_metadata
+from repro.cpu.tenanalyzer import TenAnalyzer
 from repro.eval.scenarios import mee_cache_geometry
 from repro.mem.cache import LruCacheCore, SetAssocCache
 from repro.mem.mee import FunctionalMee
@@ -52,6 +54,83 @@ def _both_modes(run):
     with vec.scalar_fallback():
         scalar = run()
     return vectored, scalar
+
+
+def _bursty_script(seed, windows=8, bursts=60):
+    """A TenAnalyzer replay script of bursty windows over six tensors.
+
+    Bursts are same-kind runs of 1-8 lines. Sequential walks read past
+    entry ends (boundary hits), writes that do not advance their cursor
+    are rewritten (Assert1), writes that start behind it run into
+    half-collected Tensor Filter streams, strided transfer installs seed
+    strided entries, and off-chip VN pokes make boundary predictions
+    miss. Odd windows pass the batch's arrays, even ones ``columns()``
+    lists.
+    """
+    rng = random.Random(seed)
+    bases = [0x100000 + t * 512 * LINE for t in range(6)]
+    cursors = [0] * len(bases)
+    steps = []
+    for window in range(windows):
+        if rng.random() < 0.5:
+            base = rng.choice(bases) + rng.randrange(64) * LINE
+            n_lines, vn = rng.randint(2, 16), rng.randrange(4)
+            steps.append(("install", base, n_lines, vn, rng.choice((1, 1, 2, 8))))
+        if rng.random() < 0.5:
+            steps.append(("poke", rng.choice(bases) + rng.randrange(96) * LINE, rng.randrange(4)))
+        vaddrs, kinds = [], []
+        for _ in range(bursts):
+            t = rng.randrange(len(bases))
+            if rng.random() < 0.3:
+                cursors[t] = rng.randrange(96)
+            n_lines = rng.randint(1, 8)
+            kind = rng.choice((KIND_READ, KIND_READ, KIND_READ, KIND_WRITE, KIND_INST))
+            if kind != KIND_READ and rng.random() < 0.3:
+                cursors[t] = max(0, cursors[t] - rng.randint(1, 4))
+            vaddrs.extend(bases[t] + (cursors[t] + i) * LINE for i in range(n_lines))
+            kinds.extend([kind] * n_lines)
+            if kind == KIND_READ or rng.random() < 0.5:
+                cursors[t] = (cursors[t] + n_lines) % 128
+        batch = TraceBatch.from_columns(vaddrs, kinds, [0] * len(vaddrs), [-1] * len(vaddrs))
+        columns = (batch.vaddr, batch.kind) if window % 2 else batch.columns()[:2]
+        steps.append(("replay", *columns))
+    return steps
+
+
+#: TenAnalyzer replay parity configs: (capacity, replacement, stride_detect, EnTMF).
+REPLAY_CONFIGS = [
+    (capacity, replacement, stride_detect, True)
+    for capacity in (4, 16, 512)
+    for replacement in ("random", "lru")
+    for stride_detect in (False, True)
+]
+REPLAY_CONFIGS.append((512, "random", False, False))
+
+
+def _assert_index_exact(table):
+    """The invariant coalesced replay relies on: every covered line of every
+    resident entry maps to that entry in the line index, and no other line
+    is indexed."""
+    for entry_id, entry in table._entries.items():
+        for line in entry.geometry.covered_lines():
+            assert table._line_map[line] == entry_id
+    assert len(table._line_map) == sum(e.geometry.n_lines for e in table._entries.values())
+
+
+def _analyzer_state(analyzer):
+    """Everything a replay can change, in comparable form."""
+    table, filt = analyzer.table, analyzer.filter
+    return {
+        "stats": analyzer.stats.as_dict(),
+        "entries": dict(table._entries),
+        "line_map": dict(table._line_map),
+        "boundary_map": dict(table._boundary_map),
+        "recent_updates": list(table._recent_updates),
+        "ticks": (table._tick, table._next_id, filt._tick),
+        "replacement_rng": table._rng.getstate(),
+        "filter_entries": list(filt._entries),
+        "vn_store": dict(analyzer.vn_store._vn),
+    }
 
 
 # -- round-trip properties -----------------------------------------------------
@@ -188,17 +267,44 @@ class TestModeParity:
         assert 0 < batched.stats["merkle_walks"] <= reference.stats["merkle_walks"]
 
     def test_adam_generator_parity(self):
+        configs = (
+            AdamTraceConfig(threads=4, seed=99),
+            AdamTraceConfig(threads=4, seed=99),  # second iteration: reused columns
+            AdamTraceConfig(threads=3, burst_lines=2, write_lag_bursts=2, seed=99),
+            AdamTraceConfig(threads=4, seed=99),
+        )
+
         def run():
             registry = TensorRegistry(alignment=4 * KiB, guard_bytes=256 * KiB)
             groups = build_adam_groups(registry, n_layers=3, lines_per_tensor=32)
-            config = AdamTraceConfig(threads=4, seed=99)
             rng = random.Random(99)
-            batch = adam_iteration_batch(groups, config, rng)
-            return batch, rng.getstate()
+            return [(adam_iteration_batch(groups, c, rng), rng.getstate()) for c in configs]
 
-        (vec_batch, vec_rng), (sca_batch, sca_rng) = _both_modes(run)
-        assert vec_batch == sca_batch
-        assert vec_rng == sca_rng  # identical skew-RNG consumption
+        vectored, scalar = _both_modes(run)
+        for (vec_batch, vec_rng), (sca_batch, sca_rng) in zip(vectored, scalar):
+            assert vec_batch == sca_batch
+            assert vec_rng == sca_rng  # identical skew-RNG consumption
+
+    @pytest.mark.parametrize("capacity, replacement, stride_detect, enabled", REPLAY_CONFIGS)
+    def test_tenanalyzer_replay_parity(self, capacity, replacement, stride_detect, enabled):
+        def run():
+            analyzer = TenAnalyzer(capacity=capacity, stride_detect=stride_detect, enabled=enabled)
+            analyzer.table.replacement = replacement
+            vns = []
+            for step in _bursty_script(seed=capacity + 3 * stride_detect):
+                if step[0] == "install":
+                    analyzer.install_from_transfer(*step[1:])
+                elif step[0] == "poke":
+                    analyzer.vn_store.set(*step[1:])
+                else:
+                    vns.append(analyzer.replay_window(*step[1:]))
+                _assert_index_exact(analyzer.table)
+            return vns, _analyzer_state(analyzer)
+
+        (vec_vns, vec_state), (sca_vns, sca_state) = _both_modes(run)
+        assert vec_vns == sca_vns
+        for key in sca_state:
+            assert vec_state[key] == sca_state[key], key
 
     def test_gemm_generator_parity(self):
         def run():
