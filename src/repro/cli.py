@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--keep-cache", action="store_true", help="leave the result cache in place"
     )
 
-    bench = sub.add_parser("bench", help="run microbenchmarks (vector vs scalar)")
+    bench = sub.add_parser("bench", help="run the kernel, trace-replay and serve microbenchmarks")
     bench.add_argument(
         "--quick", action="store_true",
         help="smaller problem sizes and fewer repeats (CI smoke mode)",
@@ -525,8 +525,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.list:
         width = max((len(s.name) for s in specs), default=0)
         for spec in specs:
-            mode = "vector+scalar" if spec.paired else "single"
-            print(f"{spec.name:<{width}}  [{mode}] ({','.join(spec.tags)}) {spec.description}")
+            print(f"{spec.name:<{width}}  ({','.join(spec.tags)}) {spec.description}")
         return 0
     if not specs:
         print("error: no benchmarks selected", file=sys.stderr)

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import vec
+import numpy as np
+
 from repro.errors import ConfigError
 from repro.mem.cache import LruCacheCore
-from repro.mem.metadata_cache import MetadataCache, MetadataKind
+from repro.mem.metadata_cache import KEY_SHIFT, MAC_BASE, TREE_BASE
 from repro.units import KiB
 
 #: VNs per metadata line: 56-bit VN -> 8 per 64-byte line (Sec. 2.2).
@@ -75,100 +76,13 @@ def measure_sgx_metadata(
     protected_lines = protected_bytes // 64
     if protected_lines <= 0:
         raise ConfigError("protected region smaller than one cacheline")
+    if streams <= 0:
+        raise ConfigError(f"streams must be positive, got {streams}")
     levels = tree_levels(protected_lines)
-    if vec.enabled():
-        return _measure_batched(
-            protected_lines=protected_lines,
-            levels=levels,
-            sample_lines=sample_lines,
-            write_fraction=write_fraction,
-            metadata_cache_bytes=metadata_cache_bytes,
-            streams=streams,
-        )
-    cache = MetadataCache(capacity_bytes=metadata_cache_bytes)
-
     # Interleave `streams` sequential walks, spread across the region. The
     # stride is de-aliased (odd offset per stream) — real shard bases are
     # not power-of-two aligned, and exact alignment would make all streams
     # collide in the same metadata-cache sets.
-    stride = max(1, protected_lines // streams)
-    read_txns = 0
-    write_misses = 0
-    dependent = 0
-    reads = 0
-    writes = 0
-    per_stream = max(1, sample_lines // streams)
-    writes_every = max(2, round(1.0 / max(write_fraction, 1e-6)))
-    for position in range(per_stream):
-        for stream in range(streams):
-            line = (stream * stride + stream * 137 + position) % protected_lines
-            vn_line = line // VNS_PER_LINE
-            mac_line = line // MACS_PER_LINE
-            reads += 1
-            if not cache.access(MetadataKind.VN, vn_line):
-                read_txns += 1
-                # Walk the tree until a cached (already-verified) node.
-                node = vn_line
-                for level in range(1, levels + 1):
-                    node //= TREE_ARITY
-                    dependent += 1
-                    if cache.access(MetadataKind.TREE, node, level=level):
-                        break
-                    read_txns += 1
-            if not cache.access(MetadataKind.MAC, mac_line):
-                read_txns += 1
-            if position % writes_every == 0:
-                writes += 1
-                # Read-modify-write: metadata lines are dirtied in the cache
-                # and written back on eviction (coalesced — 8 neighbouring
-                # VNs share one line), so only fetch misses count here; the
-                # write-back traffic is read off the cache stats below.
-                if not cache.access(MetadataKind.VN, vn_line, write=True):
-                    write_misses += 1
-                if not cache.access(MetadataKind.MAC, mac_line, write=True):
-                    write_misses += 1
-                node = vn_line
-                for level in range(1, levels + 1):
-                    node //= TREE_ARITY
-                    if not cache.access(MetadataKind.TREE, node, level=level, write=True):
-                        write_misses += 1
-                    break  # only the first tree level is touched eagerly
-    writebacks = cache.stats.scope("cache")["writebacks"] + cache.flush()
-    write_txns = write_misses + writebacks
-    return MetaTraffic(
-        read_txns_per_line=read_txns / max(1, reads),
-        write_txns_per_line=write_txns / max(1, writes),
-        dependent_levels_per_read=dependent / max(1, reads),
-        metadata_hit_rate=cache.hit_rate,
-    )
-
-
-# Metadata keys in _measure_batched live in the MetadataCache synthetic
-# *line-index* space: synthetic_addr // 64 = (kind*8 + level) << 34 + index,
-# so the batched pass and the scalar MetadataCache reference see byte-for-byte
-# the same set/tag stream.
-_KEY_SHIFT = 34
-_MAC_BASE = (MetadataKind.MAC.value * 8) << _KEY_SHIFT
-
-
-def _measure_batched(
-    protected_lines: int,
-    levels: int,
-    sample_lines: int,
-    write_fraction: float,
-    metadata_cache_bytes: int,
-    streams: int,
-) -> MetaTraffic:
-    """Batched twin of the ``measure_sgx_metadata`` sampling loop.
-
-    The address stream is precomputed as one NumPy expression; the LRU
-    replay itself cannot vectorize (each access depends on the state the
-    previous one left), so it runs as a tight loop over
-    :class:`repro.mem.cache.LruCacheCore` — no ``Stats`` calls, no enum
-    dispatch, no synthetic-address reconstruction per touch. Counter
-    totals and resulting rates are bit-identical to the scalar reference.
-    """
-    np = vec.np
     stride = max(1, protected_lines // streams)
     per_stream = max(1, sample_lines // streams)
     writes_every = max(2, round(1.0 / max(write_fraction, 1e-6)))
@@ -184,16 +98,16 @@ def _measure_batched(
     sets = core.sets
     n_sets = core.n_sets
     ways = core.ways
-    tree_base = [(MetadataKind.TREE.value * 8 + lvl) << _KEY_SHIFT for lvl in range(levels + 1)]
+    tree_base = [TREE_BASE + (level << KEY_SHIFT) for level in range(levels + 1)]
     tree_write_base = tree_base[1]
 
-    # The loop below is the single hottest path of the whole repro run (the
-    # Fig. 3/16/19 SGX baselines stream ~0.5M cache touches per call), so
-    # the LruCacheCore.touch body is inlined at each touch site: a dict pop
-    # + reinsert is move-to-end, next(iter(d)) is the LRU victim.
+    # The LRU replay cannot vectorize (each access depends on the state the
+    # previous one left) and is the single hottest path of the whole repro
+    # run (the Fig. 3/16/19 SGX baselines stream ~0.5M cache touches per
+    # call), so the LruCacheCore.touch body is inlined at each touch site:
+    # a dict pop + reinsert is move-to-end, next(iter(d)) is the LRU victim.
     hits = 0
     misses = 0
-    evictions = 0
     writebacks = 0
     read_txns = 0
     write_misses = 0
@@ -218,7 +132,6 @@ def _measure_batched(
                 if len(cache_set) >= ways:
                     if cache_set.pop(next(iter(cache_set))):
                         writebacks += 1
-                    evictions += 1
                 cache_set[tag] = False
                 read_txns += 1
                 # Walk the tree until a cached (already-verified) node.
@@ -238,11 +151,10 @@ def _measure_batched(
                     if len(cache_set) >= ways:
                         if cache_set.pop(next(iter(cache_set))):
                             writebacks += 1
-                        evictions += 1
                     cache_set[tag] = False
                     read_txns += 1
             # MAC read.
-            key = _MAC_BASE + mac_line
+            key = MAC_BASE + mac_line
             cache_set = sets[key % n_sets]
             tag = key // n_sets
             dirty = cache_set.pop(tag, None)
@@ -254,13 +166,14 @@ def _measure_batched(
                 if len(cache_set) >= ways:
                     if cache_set.pop(next(iter(cache_set))):
                         writebacks += 1
-                    evictions += 1
                 cache_set[tag] = False
                 read_txns += 1
             if is_write_position:
                 writes += 1
-                # Read-modify-write VN / MAC / first tree level (dirtying).
-                for key in (vn_line, _MAC_BASE + mac_line, tree_write_base + vn_line // TREE_ARITY):
+                # Read-modify-write VN / MAC / first tree level: only fetch
+                # misses count here; dirtied lines are written back when
+                # evicted or flushed (8 neighbouring VNs share one line).
+                for key in (vn_line, MAC_BASE + mac_line, tree_write_base + vn_line // TREE_ARITY):
                     cache_set = sets[key % n_sets]
                     tag = key // n_sets
                     dirty = cache_set.pop(tag, None)
@@ -272,13 +185,8 @@ def _measure_batched(
                         if len(cache_set) >= ways:
                             if cache_set.pop(next(iter(cache_set))):
                                 writebacks += 1
-                            evictions += 1
                         cache_set[tag] = True
                         write_misses += 1
-    core.hits = hits
-    core.misses = misses
-    core.evictions = evictions
-    core.writebacks = writebacks
     reads = per_stream * streams
     writebacks_total = writebacks + core.flush()
     write_txns = write_misses + writebacks_total

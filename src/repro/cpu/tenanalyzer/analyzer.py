@@ -17,7 +17,8 @@ from __future__ import annotations
 import enum
 from typing import List, NamedTuple, Optional, Sequence
 
-from repro import vec
+import numpy as np
+
 from repro.cpu.tenanalyzer.entry import MetaTableEntry, WriteOutcomeKind
 from repro.cpu.tenanalyzer.meta_table import LookupKind, MetaTable
 from repro.cpu.tenanalyzer.tensor_filter import TensorFilter, detect_streams
@@ -215,28 +216,27 @@ class TenAnalyzer:
         non-read kind is replayed as a write-back, matching the experiment
         drivers' historical handling.
 
-        The scalar reference replays :meth:`on_read_va` / :meth:`on_write_va`
-        per element. Behind :func:`repro.vec.enabled` the window is split
-        once into maximal runs of same-kind, line-contiguous accesses and
-        the common case of a run is applied in bulk:
+        The window is split once into maximal runs of same-kind,
+        line-contiguous accesses and the common case of a run is applied in
+        bulk:
 
         - reads inside one resident entry are one LRU step with bulk VNs;
         - writes inside one entry that neither complete it nor hit a
           flipped line are one bitmap update and one Tensor Filter snoop.
 
         Every other access — boundary, miss, completion, Assert1
-        violation, EnTMF off — takes the per-access dataflow. VNs, table,
-        filter and VN-store state and counter totals are identical in both
-        modes (pinned by ``tests/test_trace_batch.py``).
+        violation, EnTMF off — takes the per-access dataflow
+        (:meth:`on_read_va` / :meth:`on_write_va`). VNs, table, filter and
+        VN-store state and counter totals equal a per-access replay of the
+        window (pinned by ``tests/test_trace_batch.py``).
         """
-        if not vec.enabled() or not self.enabled:
+        if not self.enabled:
             return [
                 self.on_read_va(vaddr).vn if kind == KIND_READ else self.on_write_va(vaddr).vn
                 for vaddr, kind in zip(_plain_ints(vaddrs), _plain_ints(kinds))
             ]
         if not len(vaddrs):
             return []
-        np = vec.np
         va = np.asarray(vaddrs, dtype=np.int64)
         reads = np.asarray(kinds, dtype=np.int64) == KIND_READ
         run_starts = np.flatnonzero(

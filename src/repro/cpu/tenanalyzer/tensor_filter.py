@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro import vec
+import numpy as np
+
 from repro.cpu.tenanalyzer.entry import MAX_STRIDE_LINES, EntryGeometry
 from repro.sim.stats import Stats
 from repro.units import CACHELINE_BYTES
@@ -52,7 +53,7 @@ def _detect_strided(
     sliced row walk) break into sub-``min_run`` pieces and stay
     undetected — that is the realistic accuracy degradation the layout
     sweeps measure. Runs never share elements, so the resulting entries
-    never overlap. State-serial by nature; used by both vectorize modes.
+    never overlap. State-serial by nature.
     """
     total = len(vaddrs)
     streams: List[tuple[EntryGeometry, int]] = []
@@ -106,8 +107,7 @@ def detect_streams(
     Finds every maximal run of line-contiguous addresses sharing one VN —
     the same condition :meth:`TensorFilter.observe` checks one miss at a
     time — and returns ``(geometry, vn)`` per run of at least ``min_run``
-    lines. The batched path reduces the scan to two array diffs; the
-    scalar path is the reference loop.
+    lines. The scan reduces to two array diffs.
 
     ``detect_strides=True`` relaxes the contiguity condition to *any*
     constant line stride (up to the Meta Table's representable
@@ -132,30 +132,14 @@ def detect_streams(
         )
         return geometry, vns[start]
 
-    if vec.enabled():
-        np = vec.np
-        va = np.asarray(vaddrs, dtype=np.int64)
-        vn = np.asarray(vns, dtype=np.int64)
-        breaks = np.flatnonzero((np.diff(va) != LINE) | (np.diff(vn) != 0))
-        starts = np.concatenate(([0], breaks + 1))
-        ends = np.concatenate((breaks + 1, [total]))
-        runs = ends - starts
-        keep = np.flatnonzero(runs >= min_run)
-        return [stream(int(starts[i]), int(runs[i])) for i in keep]
-
-    streams: List[tuple[EntryGeometry, int]] = []
-    start = 0
-    for i in range(1, total + 1):
-        broken = (
-            i == total
-            or vaddrs[i] != vaddrs[i - 1] + LINE
-            or vns[i] != vns[i - 1]
-        )
-        if broken:
-            if i - start >= min_run:
-                streams.append(stream(start, i - start))
-            start = i
-    return streams
+    va = np.asarray(vaddrs, dtype=np.int64)
+    vn = np.asarray(vns, dtype=np.int64)
+    breaks = np.flatnonzero((np.diff(va) != LINE) | (np.diff(vn) != 0))
+    starts = np.concatenate(([0], breaks + 1))
+    ends = np.concatenate((breaks + 1, [total]))
+    runs = ends - starts
+    keep = np.flatnonzero(runs >= min_run)
+    return [stream(int(starts[i]), int(runs[i])) for i in keep]
 
 
 @dataclass

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from typing import List
 
-from repro import vec
+import numpy as np
+
 from repro.errors import ConfigError
 
 
@@ -42,25 +43,6 @@ def _build_sbox() -> List[int]:
 _SBOX = _build_sbox()
 _RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]
 
-# Lookup tables for the batched (NumPy) round functions, built lazily so a
-# numpy-less install never touches them. ``_SHIFT_IDX[i]`` is the source
-# index ShiftRows reads byte ``i`` from (column-major state layout).
-_NP_TABLES = None
-
-
-def _np_tables():
-    global _NP_TABLES
-    if _NP_TABLES is None:
-        np = vec.np
-        sbox = np.array(_SBOX, dtype=np.uint8)
-        xtime = np.array([_xtime(v) for v in range(256)], dtype=np.uint8)
-        shift_idx = np.array(
-            [4 * ((c + r) % 4) + r for c in range(4) for r in range(4)],
-            dtype=np.intp,
-        )
-        _NP_TABLES = (sbox, xtime, shift_idx)
-    return _NP_TABLES
-
 
 def _xtime(value: int) -> int:
     """Multiply by x in GF(2^8)."""
@@ -68,6 +50,15 @@ def _xtime(value: int) -> int:
     if value & 0x100:
         value ^= 0x11B
     return value & 0xFF
+
+
+# Lookup tables for the batched round functions. ``_NP_SHIFT_IDX[i]`` is the
+# source index ShiftRows reads byte ``i`` from (column-major state layout).
+_NP_SBOX = np.array(_SBOX, dtype=np.uint8)
+_NP_XTIME = np.array([_xtime(v) for v in range(256)], dtype=np.uint8)
+_NP_SHIFT_IDX = np.array(
+    [4 * ((c + r) % 4) + r for c in range(4) for r in range(4)], dtype=np.intp
+)
 
 
 class AES128:
@@ -87,6 +78,7 @@ class AES128:
             raise ConfigError(f"AES-128 key must be 16 bytes, got {len(key)}")
         self.key = key
         self._round_keys = self._expand_key(key)
+        self._np_round_keys = np.array(self._round_keys, dtype=np.uint8)
 
     @staticmethod
     def _expand_key(key: bytes) -> List[List[int]]:
@@ -156,10 +148,9 @@ class AES128:
     def encrypt_blocks(self, blocks: bytes) -> bytes:
         """Encrypt a concatenation of 16-byte blocks in one batch.
 
-        Bit-identical to calling :meth:`encrypt_block` per block; with
-        NumPy available (and vectorization enabled) the whole batch moves
-        through each round function together, which is what makes bulk
-        counter-mode keystream generation fast.
+        Bit-identical to calling :meth:`encrypt_block` per block; the whole
+        batch moves through each round function together as NumPy arrays,
+        which is what makes bulk counter-mode keystream generation fast.
         """
         if len(blocks) % self.BLOCK_BYTES:
             raise ConfigError(
@@ -167,17 +158,8 @@ class AES128:
             )
         if not blocks:
             return b""
-        if not vec.enabled():
-            return b"".join(
-                self.encrypt_block(blocks[i : i + self.BLOCK_BYTES])
-                for i in range(0, len(blocks), self.BLOCK_BYTES)
-            )
-        np = vec.np
-        sbox, xtime, shift_idx = _np_tables()
-        round_keys = getattr(self, "_np_round_keys", None)
-        if round_keys is None:
-            round_keys = [np.array(rk, dtype=np.uint8) for rk in self._round_keys]
-            self._np_round_keys = round_keys
+        sbox, xtime, shift_idx = _NP_SBOX, _NP_XTIME, _NP_SHIFT_IDX
+        round_keys = self._np_round_keys
         state = np.frombuffer(blocks, dtype=np.uint8).reshape(-1, 16).copy()
         state ^= round_keys[0]
         for round_index in range(1, self.ROUNDS):

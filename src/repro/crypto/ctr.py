@@ -13,7 +13,8 @@ import struct
 from functools import lru_cache
 from typing import Sequence
 
-from repro import vec
+import numpy as np
+
 from repro.crypto.aes import AES128
 from repro.errors import ConfigError
 from repro.units import CACHELINE_BYTES
@@ -68,17 +69,14 @@ class CounterModeCipher:
     def keystream_lines(self, pas: Sequence[int], vns: Sequence[int]) -> bytes:
         """Concatenated keystreams for many ``(PA, VN)`` lines at once.
 
-        The batched path builds every line's counter blocks as one array
-        and pushes them through the batched AES; the scalar path is the
-        per-line :meth:`keystream` loop (and shares its memoisation).
+        Builds every line's counter blocks as one array and pushes them
+        through the batched AES; byte-identical to a per-line
+        :meth:`keystream` loop (which memoises, this path does not).
         """
         if len(pas) != len(vns):
             raise ConfigError("pas and vns must pair up one per line")
         if not pas:
             return b""
-        if not vec.enabled():
-            return b"".join(self.keystream(pa, vn) for pa, vn in zip(pas, vns))
-        np = vec.np
         blocks = self._blocks_per_line
         counters = np.empty((len(pas), blocks, 2), dtype=">u8")
         counters[:, :, 0] = np.asarray(
@@ -109,14 +107,6 @@ class CounterModeCipher:
             )
         if not pas:
             return b""
-        if not vec.enabled():
-            return b"".join(
-                self.encrypt_line(
-                    plaintexts[i * self.line_bytes : (i + 1) * self.line_bytes], pa, vn
-                )
-                for i, (pa, vn) in enumerate(zip(pas, vns))
-            )
-        np = vec.np
         stream = self.keystream_lines(pas, vns)
         data = np.frombuffer(plaintexts, dtype=np.uint8)
         return (data ^ np.frombuffer(stream, dtype=np.uint8)).tobytes()

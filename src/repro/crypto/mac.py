@@ -12,7 +12,8 @@ import hashlib
 import struct
 from typing import Iterable, List, Sequence
 
-from repro import vec
+import numpy as np
+
 from repro.errors import ConfigError
 from repro.units import MAC_BITS
 
@@ -65,18 +66,10 @@ class MacEngine:
 
 def xor_macs(macs: Iterable[int]) -> int:
     """Fold per-line MACs into a tensor MAC: ``MAC_0 ^ MAC_1 ^ ...``."""
-    if vec.enabled():
-        seq = macs if isinstance(macs, (list, tuple)) else list(macs)
-        if seq:
-            np = vec.np
-            return int(
-                np.bitwise_xor.reduce(np.asarray(seq, dtype=np.uint64))
-            )
+    seq = macs if isinstance(macs, (list, tuple)) else list(macs)
+    if not seq:
         return 0
-    acc = 0
-    for mac in macs:
-        acc ^= mac
-    return acc
+    return int(np.bitwise_xor.reduce(np.asarray(seq, dtype=np.uint64)))
 
 
 class TensorMacAccumulator:

@@ -45,8 +45,8 @@ EXPERIMENT_MODULES: Tuple[str, ...] = (
     "repro.eval.scenarios",
 )
 
-#: Tag carried by the 12 experiments ``repro.eval.runner`` regenerated in
-#: the original serial harness (every paper figure/table).
+#: Tag carried by the 12 paper figure/table experiments
+#: (``python -m repro run --tag paper``).
 PAPER_TAG = "paper"
 
 #: Tag carried by the parameterized off-design-point scenario experiments.

@@ -28,7 +28,8 @@ import random
 from dataclasses import dataclass
 from typing import Dict
 
-from repro import vec
+import numpy as np
+
 from repro.core.config import baseline_system, non_secure_system, tensortee_system
 from repro.core.system import CollaborativeSystem
 from repro.cpu.tenanalyzer.analyzer import TenAnalyzer
@@ -36,7 +37,7 @@ from repro.errors import ConfigError
 from repro.eval.registry import experiment
 from repro.eval.tables import ascii_table, fmt, pct
 from repro.mem.cache import LruCacheCore
-from repro.mem.metadata_cache import MetadataCache, MetadataKind
+from repro.mem.metadata_cache import KEY_SHIFT, MAC_BASE, TREE_BASE
 from repro.npu.config import NpuConfig
 from repro.npu.kernels import iteration_time_s
 from repro.npu.mac import MacScheme
@@ -208,94 +209,12 @@ def mee_cache_geometry(
     """
     if tensors <= 0 or lines_per_tensor <= 0 or iterations <= 0:
         raise ConfigError("tensors, lines_per_tensor and iterations must be positive")
-    if vec.enabled():
-        return _mee_geometry_batched(
-            capacity_kib=capacity_kib,
-            ways=ways,
-            tensors=tensors,
-            lines_per_tensor=lines_per_tensor,
-            iterations=iterations,
-            seed=seed,
-        )
-    cache = MetadataCache(capacity_bytes=capacity_kib * KiB, ways=ways)
-    vn_lines = tensors * lines_per_tensor
-    levels = _tree_levels(vn_lines)
-    rng = random.Random(seed)
-    covered_total = 0.0
-    covered_samples = 0
-    order = list(range(tensors))
-    for _ in range(iterations):
-        rng.shuffle(order)
-        for tensor in order:
-            base = tensor * lines_per_tensor
-            for offset in range(lines_per_tensor):
-                index = base + offset
-                # Read path: VN + MAC fetch, tree walk to the covered level.
-                cache.access(MetadataKind.VN, index)
-                cache.access(MetadataKind.MAC, index)
-                covered = cache.covered_level(index, levels)
-                covered_total += covered
-                covered_samples += 1
-                node = index
-                for level in range(1, covered + 1):
-                    node //= 8
-                    cache.access(MetadataKind.TREE, node, level=level)
-                # Write-back of the updated line: VN bump + fresh MAC,
-                # then the tree path re-hashes up to the root.
-                cache.access(MetadataKind.VN, index, write=True)
-                cache.access(MetadataKind.MAC, index, write=True)
-                node = index
-                for level in range(1, levels):
-                    node //= 8
-                    cache.access(MetadataKind.TREE, node, level=level, write=True)
-    counters = dict(cache.stats.flat())
-    kind_hit_rates: Dict[str, float] = {}
-    accesses = 0
-    for kind in ("vn", "mac", "tree"):
-        hits = counters.get(f"metadata_cache.{kind}_hits", 0.0)
-        misses = counters.get(f"metadata_cache.{kind}_misses", 0.0)
-        total = hits + misses
-        kind_hit_rates[kind] = hits / total if total else 0.0
-        accesses += int(total)
-    return MeeGeometryResult(
-        capacity_kib=capacity_kib,
-        ways=ways,
-        capacity_lines=capacity_kib * KiB // 64,
-        vn_lines=vn_lines,
-        levels=levels,
-        accesses=accesses,
-        hit_rate=cache.hit_rate,
-        kind_hit_rates=kind_hit_rates,
-        mean_covered_level=covered_total / max(covered_samples, 1),
-    )
-
-
-# Metadata keys in _mee_geometry_batched live in the MetadataCache synthetic
-# *line-index* space: synthetic_addr // 64 = (kind*8 + level) << 34 + index,
-# so the batched pass replays the exact set/tag stream the scalar
-# MetadataCache reference sees.
-_KEY_SHIFT = 34
-_MAC_BASE = (MetadataKind.MAC.value * 8) << _KEY_SHIFT
-
-
-def _mee_geometry_batched(
-    capacity_kib: int,
-    ways: int,
-    tensors: int,
-    lines_per_tensor: int,
-    iterations: int,
-    seed: int,
-) -> MeeGeometryResult:
-    """Batched twin of the ``mee_cache_geometry`` scalar loop.
-
-    The shuffled per-iteration line order is precomputed as one NumPy
-    expression; the cache replay itself is state-serial, so it runs as a
-    tight loop over :class:`repro.mem.cache.LruCacheCore` with the
-    touch/probe bodies inlined — no synthetic-address reconstruction, no
-    ``Stats`` call and no enum dispatch per touch. The returned result is
-    bit-identical to the scalar reference.
-    """
-    np = vec.np
+    # The shuffled per-iteration line order is one NumPy expression; the
+    # cache replay is state-serial, so it runs as a tight loop over
+    # :class:`repro.mem.cache.LruCacheCore` state with the touch/probe
+    # bodies inlined — no synthetic-address reconstruction, no ``Stats``
+    # call and no enum dispatch per touch.
+    core = LruCacheCore.for_cache(capacity_kib * KiB, ways=ways)
     vn_lines = tensors * lines_per_tensor
     levels = _tree_levels(vn_lines)
     rng = random.Random(seed)
@@ -307,10 +226,9 @@ def _mee_geometry_batched(
         bases = np.asarray(order, dtype=np.int64)[:, None] * lines_per_tensor
         stream.extend((bases + offsets).ravel().tolist())
 
-    core = LruCacheCore.for_cache(capacity_kib * KiB, ways=ways)
     sets = core.sets
     n_sets = core.n_sets
-    tree_base = [(MetadataKind.TREE.value * 8 + lvl) << _KEY_SHIFT for lvl in range(levels + 1)]
+    tree_base = [TREE_BASE + (level << KEY_SHIFT) for level in range(levels + 1)]
     vn_hits = vn_misses = mac_hits = mac_misses = tree_hits = tree_misses = 0
     covered_total = 0
     for index in stream:
@@ -326,7 +244,7 @@ def _mee_geometry_batched(
                 cache_set.pop(next(iter(cache_set)))
             cache_set[tag] = False
             vn_misses += 1
-        key = _MAC_BASE + index
+        key = MAC_BASE + index
         cache_set = sets[key % n_sets]
         tag = key // n_sets
         dirty = cache_set.pop(tag, None)
@@ -376,7 +294,7 @@ def _mee_geometry_batched(
                 cache_set.pop(next(iter(cache_set)))
             cache_set[tag] = True
             vn_misses += 1
-        key = _MAC_BASE + index
+        key = MAC_BASE + index
         cache_set = sets[key % n_sets]
         tag = key // n_sets
         dirty = cache_set.pop(tag, None)

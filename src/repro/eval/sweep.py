@@ -43,6 +43,7 @@ import itertools
 import json
 import os
 import re
+import tomllib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -381,143 +382,11 @@ def load_spec(ref: str) -> SweepSpec:
 
 
 def _loads_toml(text: str, origin: str) -> Dict[str, Any]:
-    """Parse TOML via stdlib ``tomllib``, or the subset parser on 3.10.
-
-    ``tomllib`` landed in Python 3.11; this package supports 3.10 without
-    third-party dependencies, so older interpreters fall back to
-    :func:`_parse_toml_subset`, which covers exactly the constructs the
-    sweep-spec layout uses.
-    """
-    try:
-        import tomllib
-    except ImportError:
-        return _parse_toml_subset(text, origin)
+    """Parse TOML via stdlib ``tomllib``; syntax errors name the spec file."""
     try:
         return tomllib.loads(text)
     except tomllib.TOMLDecodeError as exc:
         raise ConfigError(f"cannot parse sweep spec {origin!r}: {exc}") from exc
-
-
-def _parse_toml_subset(text: str, origin: str) -> Dict[str, Any]:
-    """Minimal TOML reader for sweep specs (the Python 3.10 fallback).
-
-    Supports what the spec layout needs: ``[dotted.tables]``,
-    ``[[arrays.of.tables]]``, bare keys, basic strings, integers, floats,
-    booleans, and (multi-line) arrays of those scalars. Comments start at
-    an unquoted ``#``. Anything fancier is a clear error naming the line.
-    """
-
-    def fail(lineno: int, message: str) -> ConfigError:
-        return ConfigError(
-            f"cannot parse sweep spec {origin!r} (line {lineno}): {message} "
-            "(3.10 subset parser — use tomllib-compatible constructs)"
-        )
-
-    def strip_comment(line: str, lineno: int) -> str:
-        out = []
-        in_string = False
-        for ch in line:
-            if ch == '"':
-                in_string = not in_string
-            if ch == "#" and not in_string:
-                break
-            out.append(ch)
-        if in_string:
-            raise fail(lineno, "unterminated string")
-        return "".join(out).strip()
-
-    def parse_scalar(token: str, lineno: int) -> Any:
-        if token.startswith('"'):
-            if len(token) < 2 or not token.endswith('"') or "\\" in token:
-                raise fail(lineno, f"unsupported string syntax {token!r}")
-            return token[1:-1]
-        if token in ("true", "false"):
-            return token == "true"
-        try:
-            return int(token, 10)
-        except ValueError:
-            pass
-        try:
-            return float(token)
-        except ValueError:
-            raise fail(lineno, f"unsupported value {token!r}") from None
-
-    def split_items(body: str, lineno: int) -> List[str]:
-        items, buf, in_string = [], [], False
-        for ch in body:
-            if ch == '"':
-                in_string = not in_string
-            if ch == "," and not in_string:
-                items.append("".join(buf).strip())
-                buf = []
-            else:
-                buf.append(ch)
-        tail = "".join(buf).strip()
-        if tail:
-            items.append(tail)
-        return [item for item in items if item]
-
-    def parse_value(token: str, lineno: int) -> Any:
-        if token.startswith("["):
-            if not token.endswith("]"):
-                raise fail(lineno, "unterminated array")
-            return [parse_scalar(i, lineno) for i in split_items(token[1:-1], lineno)]
-        return parse_scalar(token, lineno)
-
-    def descend(dotted: str, lineno: int, append: bool) -> Dict[str, Any]:
-        node: Any = root
-        parts = dotted.split(".")
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-            if isinstance(node, list):
-                node = node[-1]
-            if not isinstance(node, dict):
-                raise fail(lineno, f"{part!r} is not a table")
-        leaf = parts[-1]
-        if append:
-            array = node.setdefault(leaf, [])
-            if not isinstance(array, list):
-                raise fail(lineno, f"{leaf!r} is not an array of tables")
-            array.append({})
-            return array[-1]
-        table = node.setdefault(leaf, {})
-        if not isinstance(table, dict):
-            raise fail(lineno, f"{leaf!r} is not a table")
-        return table
-
-    root: Dict[str, Any] = {}
-    current = root
-    pending: Optional[Tuple[str, List[str], int]] = None  # key, chunks, start line
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = strip_comment(raw_line, lineno)
-        if pending is not None:
-            key, chunks, start = pending
-            chunks.append(line)
-            joined = " ".join(chunks)
-            if joined.count("[") == joined.count("]"):
-                current[key] = parse_value(joined, start)
-                pending = None
-            continue
-        if not line:
-            continue
-        if line.startswith("[[") and line.endswith("]]"):
-            current = descend(line[2:-2].strip(), lineno, append=True)
-        elif line.startswith("[") and line.endswith("]"):
-            current = descend(line[1:-1].strip(), lineno, append=False)
-        elif "=" in line:
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if not _NAME_RE.match(key):
-                raise fail(lineno, f"unsupported key {key!r}")
-            if value.startswith("[") and value.count("[") != value.count("]"):
-                pending = (key, [value], lineno)  # multi-line array
-                continue
-            current[key] = parse_value(value, lineno)
-        else:
-            raise fail(lineno, f"cannot parse {line!r}")
-    if pending is not None:
-        raise fail(pending[2], "unterminated multi-line array")
-    return root
 
 
 # -- expansion ----------------------------------------------------------------

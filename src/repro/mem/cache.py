@@ -1,43 +1,28 @@
 """A set-associative write-back cache simulator with LRU replacement.
 
-Used for the MEE metadata cache (Table 1: 32 KB) and for the LLC filter in
-front of the write path. Functional-only: it tracks presence and dirtiness,
-not contents (contents live in :class:`repro.mem.backing.SimulatedDram`).
+Used for the MEE metadata cache (Table 1: 32 KB). Functional-only: it
+tracks presence and dirtiness, not contents (contents live in
+:class:`repro.mem.backing.SimulatedDram`).
 
-Two layers:
-
-- :class:`SetAssocCache` — the readable per-access simulator and the scalar
-  reference the batched passes are verified against. Its ``access`` loop is
-  deliberately kept in its original object form.
-- :class:`LruCacheCore` — flat per-set ``dict`` state with plain-``int``
-  counters, for the batched replay passes (``cpu/metadata_model.py``,
-  ``eval/scenarios.py``). LRU replacement cannot be expressed as an array
-  program — every access depends on the state the previous access left
-  behind — so the batched passes win by stripping per-access overhead:
-  no ``Stats`` calls, no per-line objects, one dict operation per touch.
-  Replacement semantics are identical to :class:`SetAssocCache` (the
-  parity tests in ``tests/test_trace_batch.py`` enforce it).
-
-``access_many`` is the batch API on :class:`SetAssocCache` itself: behind
-:func:`repro.vec.enabled` it runs one inlined loop over the shared set
-state and folds counter deltas into ``Stats`` in bulk; the scalar
-reference replays ``access`` per element. Same hits, same counters.
+LRU replacement cannot be expressed as an array program — every access
+depends on the state the previous access left behind — so the replay
+loops (``cpu/metadata_model.py``, ``eval/scenarios.py``) win by stripping
+per-access overhead: flat per-set ``dict`` state, plain-``int`` counters,
+no per-line objects, one dict operation per touch. Its replacement
+semantics are pinned against an independent ``OrderedDict`` reference in
+``tests/oracles/`` (``tests/test_trace_batch.py``).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
-from repro import vec
 from repro.errors import ConfigError
-from repro.sim.stats import Stats
 from repro.units import CACHELINE_BYTES
 
 
 class LruCacheCore:
-    """Flat LRU residency state for the batched replay loops.
+    """Flat LRU residency state for the metadata-cache replay loops.
 
     Python dicts preserve insertion order, so each set is a plain ``dict``
     mapping ``tag -> dirty``: re-inserting on hit is ``move_to_end``, and
@@ -59,7 +44,9 @@ class LruCacheCore:
 
     @classmethod
     def for_cache(cls, capacity_bytes: int, ways: int = 8, line_bytes: int = CACHELINE_BYTES):
-        """Core with the same geometry :class:`SetAssocCache` would use."""
+        """Core for a ``capacity_bytes`` cache of ``ways``-way sets."""
+        if capacity_bytes <= 0 or ways <= 0:
+            raise ConfigError("cache capacity and associativity must be positive")
         n_lines = capacity_bytes // line_bytes
         if n_lines < ways:
             raise ConfigError("cache smaller than one set")
@@ -94,170 +81,3 @@ class LruCacheCore:
             cache_set.clear()
         self.writebacks += dirty
         return dirty
-
-    @property
-    def resident(self) -> int:
-        """How many lines are currently cached."""
-        return sum(len(cache_set) for cache_set in self.sets)
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of touches that hit so far."""
-        total = self.hits + self.misses
-        if total == 0:
-            return 0.0
-        return self.hits / total
-
-
-@dataclass
-class CacheLineState:
-    """Residency record for one cached line."""
-
-    tag: int
-    dirty: bool = False
-
-
-class SetAssocCache:
-    """LRU set-associative cache over line addresses.
-
-    >>> c = SetAssocCache(capacity_bytes=1024, ways=2)
-    >>> c.access(0)      # cold miss
-    False
-    >>> c.access(0)
-    True
-    """
-
-    def __init__(
-        self,
-        capacity_bytes: int,
-        ways: int = 8,
-        line_bytes: int = CACHELINE_BYTES,
-        name: str = "cache",
-        stats: Optional[Stats] = None,
-    ) -> None:
-        if capacity_bytes <= 0 or ways <= 0:
-            raise ConfigError("cache capacity and associativity must be positive")
-        n_lines = capacity_bytes // line_bytes
-        if n_lines < ways:
-            raise ConfigError("cache smaller than one set")
-        self.line_bytes = line_bytes
-        self.ways = ways
-        self.n_sets = max(1, n_lines // ways)
-        self.name = name
-        self.stats = stats if stats is not None else Stats(name)
-        # Each set is an OrderedDict tag -> CacheLineState (LRU at front).
-        self._sets: Dict[int, OrderedDict[int, CacheLineState]] = {}
-
-    def _locate(self, addr: int) -> tuple[int, int]:
-        line = addr // self.line_bytes
-        return line % self.n_sets, line // self.n_sets
-
-    def access(self, addr: int, write: bool = False) -> bool:
-        """Touch ``addr``; returns hit/miss. Misses fill the line."""
-        set_index, tag = self._locate(addr)
-        cache_set = self._sets.setdefault(set_index, OrderedDict())
-        state = cache_set.get(tag)
-        if state is not None:
-            cache_set.move_to_end(tag)
-            state.dirty = state.dirty or write
-            self.stats.add("hits")
-            return True
-        self.stats.add("misses")
-        if len(cache_set) >= self.ways:
-            _, victim = cache_set.popitem(last=False)
-            self.stats.add("evictions")
-            if victim.dirty:
-                self.stats.add("writebacks")
-        cache_set[tag] = CacheLineState(tag=tag, dirty=write)
-        return False
-
-    def access_many(self, addrs: Sequence[int], write: bool = False) -> List[bool]:
-        """Touch a stream of addresses; returns the per-address hit list.
-
-        Vector mode runs one inlined loop over the shared set state and
-        folds the counter deltas into ``Stats`` in bulk; scalar mode
-        replays :meth:`access` per element. Same hits, same counters.
-        """
-        if not vec.enabled():
-            return [self.access(addr, write) for addr in addrs]
-        line_bytes = self.line_bytes
-        if vec.HAVE_NUMPY and isinstance(addrs, vec.np.ndarray):
-            lines = (addrs // line_bytes).tolist()
-        else:
-            lines = [addr // line_bytes for addr in addrs]
-        sets = self._sets
-        n_sets = self.n_sets
-        ways = self.ways
-        hits = 0
-        evictions = 0
-        writebacks = 0
-        out: List[bool] = []
-        append = out.append
-        for line in lines:
-            set_index = line % n_sets
-            cache_set = sets.get(set_index)
-            if cache_set is None:
-                cache_set = sets[set_index] = OrderedDict()
-            tag = line // n_sets
-            state = cache_set.get(tag)
-            if state is not None:
-                cache_set.move_to_end(tag)
-                state.dirty = state.dirty or write
-                hits += 1
-                append(True)
-                continue
-            if len(cache_set) >= ways:
-                _, victim = cache_set.popitem(last=False)
-                evictions += 1
-                if victim.dirty:
-                    writebacks += 1
-            cache_set[tag] = CacheLineState(tag=tag, dirty=write)
-            append(False)
-        misses = len(lines) - hits
-        if hits:
-            self.stats.add("hits", hits)
-        if misses:
-            self.stats.add("misses", misses)
-        if evictions:
-            self.stats.add("evictions", evictions)
-        if writebacks:
-            self.stats.add("writebacks", writebacks)
-        return out
-
-    def contains(self, addr: int) -> bool:
-        """Presence check without LRU update or fill."""
-        set_index, tag = self._locate(addr)
-        return tag in self._sets.get(set_index, {})
-
-    def invalidate(self, addr: int) -> bool:
-        """Drop a line if present; returns whether it was resident."""
-        set_index, tag = self._locate(addr)
-        cache_set = self._sets.get(set_index)
-        if cache_set is None or tag not in cache_set:
-            return False
-        del cache_set[tag]
-        self.stats.add("invalidations")
-        return True
-
-    def flush(self) -> int:
-        """Empty the cache; returns how many dirty lines were written back."""
-        dirty = 0
-        for cache_set in self._sets.values():
-            dirty += sum(1 for state in cache_set.values() if state.dirty)
-        self._sets.clear()
-        self.stats.add("flushes")
-        self.stats.add("writebacks", dirty)
-        return dirty
-
-    @property
-    def resident(self) -> int:
-        """How many lines are currently cached."""
-        return sum(len(cache_set) for cache_set in self._sets.values())
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of accesses that hit so far."""
-        total = self.stats["hits"] + self.stats["misses"]
-        if total == 0:
-            return 0.0
-        return self.stats["hits"] / total

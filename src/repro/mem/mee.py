@@ -17,7 +17,6 @@ from __future__ import annotations
 import struct
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro import vec
 from repro.crypto.ctr import CounterModeCipher
 from repro.crypto.mac import MacEngine
 from repro.crypto.merkle import BonsaiMerkleTree
@@ -91,9 +90,6 @@ class FunctionalMee:
     @staticmethod
     def _unique_leaves(indices: Sequence[int]) -> List[int]:
         """Sorted unique Merkle leaves covering a batch of line indices."""
-        if vec.enabled() and len(indices) > 1:
-            np = vec.np
-            return np.unique(np.asarray(indices, dtype=np.int64) // VNS_PER_LEAF).tolist()
         return sorted({index // VNS_PER_LEAF for index in indices})
 
     # -- write path -------------------------------------------------------------
@@ -221,7 +217,7 @@ class FunctionalMee:
         Same semantics per line as :meth:`read_line` (shared tensor ``vn``
         or per-line off-chip VN with Merkle authentication); the batch
         decrypts every line through one keystream call. Verification
-        failures re-raise through the scalar path so the replay/tamper
+        failures re-raise through the per-line path so the replay/tamper
         classification is identical.
         """
         pas = [self._pa_of(vaddr) for vaddr in vaddrs]
@@ -242,7 +238,7 @@ class FunctionalMee:
             actual = self.mac.line_macs(ciphertexts, LINE, pas, vns)
             for i, index in enumerate(indices):
                 if actual[i] != self.mac_store.get(index, 0):
-                    # Replay the scalar read for its exact failure taxonomy.
+                    # Replay the per-line read for its exact failure taxonomy.
                     self.read_line(vaddrs[i], vn=vn, verify=True)
         self.stats.add("reads", len(vaddrs))
         return self.cipher.decrypt_lines(ciphertexts, pas, vns)

@@ -1,24 +1,20 @@
-"""The MEE metadata cache (Table 1: 32 KB).
+"""Key layout of the MEE metadata cache (Table 1: 32 KB).
 
-Caches off-chip security metadata — VN lines, MAC lines and Merkle-tree
-nodes — in one shared structure. Each metadata object gets a synthetic line
-address in a per-kind region so different kinds never alias.
+One shared cache holds off-chip security metadata — VN lines, MAC lines and
+Merkle-tree nodes. Each metadata object gets a synthetic line address in a
+per-(kind, level) region so different kinds and tree levels never alias.
 
-A resident, *verified* Merkle node terminates a tree walk early (Sec. 2.2):
-``covered_level`` reports the lowest cached level above a VN line, which the
-MEE uses to decide how many tree levels a read must actually traverse.
+The replay loops (``cpu/metadata_model.py``, ``eval/scenarios.py``) key a
+:class:`repro.mem.cache.LruCacheCore` by the synthetic *line index*
+``synthetic_addr // 64 = ((kind * 8 + level) << KEY_SHIFT) + index``, so
+the constants below are the one place that layout is defined.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import List, Optional, Sequence
 
-from repro import vec
-from repro.errors import ConfigError
-from repro.mem.cache import SetAssocCache
-from repro.sim.stats import Stats
-from repro.units import CACHELINE_BYTES, KiB
+from repro.units import CACHELINE_BYTES
 
 
 class MetadataKind(enum.Enum):
@@ -29,104 +25,11 @@ class MetadataKind(enum.Enum):
     TREE = 2  # Merkle interior node; the level is encoded in the address
 
 
-# Synthetic address regions, 2^40 apart so kinds never collide.
-_REGION_STRIDE = 1 << 40
-
-
-class MetadataCache:
-    """Shared VN/MAC/Merkle-node cache with per-kind accounting."""
-
-    def __init__(
-        self,
-        capacity_bytes: int = 32 * KiB,
-        ways: int = 8,
-        stats: Optional[Stats] = None,
-    ) -> None:
-        self.stats = stats if stats is not None else Stats("metadata_cache")
-        self._cache = SetAssocCache(
-            capacity_bytes=capacity_bytes,
-            ways=ways,
-            name="metadata",
-            stats=self.stats.scope("cache"),
-        )
-
-    @staticmethod
-    def _synthetic_addr(kind: MetadataKind, index: int, level: int = 0) -> int:
-        if index < 0 or level < 0:
-            raise ConfigError("metadata index/level must be non-negative")
-        region = (kind.value * 8 + level) * _REGION_STRIDE
-        return region + index * CACHELINE_BYTES
-
-    def access(
-        self,
-        kind: MetadataKind,
-        index: int,
-        level: int = 0,
-        write: bool = False,
-    ) -> bool:
-        """Touch metadata object ``index`` of ``kind``; returns hit/miss."""
-        hit = self._cache.access(self._synthetic_addr(kind, index, level), write=write)
-        label = kind.name.lower()
-        self.stats.add(f"{label}_hits" if hit else f"{label}_misses")
-        return hit
-
-    def access_many(
-        self,
-        kind: MetadataKind,
-        indices: Sequence[int],
-        level: int = 0,
-        write: bool = False,
-    ) -> List[bool]:
-        """Touch a stream of same-kind metadata objects; per-index hit list.
-
-        Batch twin of :meth:`access`: vector mode computes the synthetic
-        addresses as one array expression and folds the per-kind tallies
-        into ``Stats`` in bulk; scalar mode replays :meth:`access` per
-        element. Identical hits and identical counters either way.
-        """
-        if not vec.enabled():
-            return [self.access(kind, index, level, write=write) for index in indices]
-        if level < 0:
-            raise ConfigError("metadata index/level must be non-negative")
-        region = (kind.value * 8 + level) * _REGION_STRIDE
-        if vec.HAVE_NUMPY and isinstance(indices, vec.np.ndarray):
-            if len(indices) and int(indices.min()) < 0:
-                raise ConfigError("metadata index/level must be non-negative")
-            addrs: Sequence[int] = region + indices * CACHELINE_BYTES
-        else:
-            addrs = [self._synthetic_addr(kind, index, level) for index in indices]
-        hits = self._cache.access_many(addrs, write=write)
-        n_hits = sum(hits)
-        n_misses = len(hits) - n_hits
-        label = kind.name.lower()
-        if n_hits:
-            self.stats.add(f"{label}_hits", n_hits)
-        if n_misses:
-            self.stats.add(f"{label}_misses", n_misses)
-        return hits
-
-    def contains(self, kind: MetadataKind, index: int, level: int = 0) -> bool:
-        """Presence probe without side effects."""
-        return self._cache.contains(self._synthetic_addr(kind, index, level))
-
-    def covered_level(self, vn_line_index: int, levels: int, arity: int = 8) -> int:
-        """Lowest Merkle level (1-based) above ``vn_line_index`` that is cached.
-
-        Returns ``levels`` (the root level) when nothing on the path is
-        resident — the walk must then go all the way to the on-chip root.
-        """
-        node = vn_line_index
-        for level in range(1, levels):
-            node //= arity
-            if self.contains(MetadataKind.TREE, node, level=level):
-                return level
-        return levels
-
-    def flush(self) -> int:
-        """Drop all metadata (context switch); returns dirty writebacks."""
-        return self._cache.flush()
-
-    @property
-    def hit_rate(self) -> float:
-        """Overall hit rate across kinds."""
-        return self._cache.hit_rate
+#: Synthetic address regions, 2^40 bytes apart so kinds never collide.
+REGION_STRIDE = 1 << 40
+#: The same regions in line-index space: 2^40 / 64 = 2^34 lines apart.
+KEY_SHIFT = (REGION_STRIDE // CACHELINE_BYTES).bit_length() - 1
+#: Line-index key of MAC line 0 (VN line ``i`` is key ``i``).
+MAC_BASE = (MetadataKind.MAC.value * 8) << KEY_SHIFT
+#: Line-index key of tree node 0 at level 0; level ``l`` adds ``l << KEY_SHIFT``.
+TREE_BASE = (MetadataKind.TREE.value * 8) << KEY_SHIFT

@@ -1,4 +1,4 @@
-"""Event-driven decrypt/verify/compute pipeline (Fig. 13).
+"""Decrypt/verify/compute pipeline timing (Fig. 13).
 
 A first-principles simulation of the three pipelines the paper draws:
 
@@ -27,10 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import vec
+import numpy as np
+
 from repro.errors import ConfigError
 from repro.npu.config import NpuConfig
-from repro.sim.engine import EventEngine
 from repro.units import CACHELINE_BYTES, MAC_BITS
 
 LINE = CACHELINE_BYTES
@@ -79,58 +79,26 @@ def simulate_granule_pipeline(
     hash_lat = config.mac_latency_cycles / config.freq_hz
     ideal = n_lines * max(LINE / config.dram.effective_stream_bw, compute_per_line_s)
 
-    if vec.enabled():
-        # Batched replay: the per-line arrival and granule-verification
-        # times are pure functions of the line index, so they come out of
-        # one array expression; only the compute_free/stall recurrence
-        # stays serial. Same floats, same order — results are
-        # bit-identical to the event-driven scalar reference below.
-        np = vec.np
-        index = np.arange(n_lines, dtype=np.int64)
-        last_line = np.minimum(
-            (index // lines_per_granule + 1) * lines_per_granule - 1, n_lines - 1
-        )
-        verified_at = (last_line + 1) * per_line + hash_lat
-        arrivals = (index + 1) * per_line
-        readies = np.maximum(arrivals, verified_at)
-        compute_free = 0.0
-        stall = 0.0
-        for arrival, ready in zip(arrivals.tolist(), readies.tolist()):
-            wait = ready - max(arrival, compute_free)
-            if wait > 0.0:
-                stall += wait
-            compute_free = max(ready, compute_free) + compute_per_line_s
-        return PipelineResult(
-            scheme=f"granule-{granule_bytes}B",
-            total_s=compute_free,
-            ideal_s=ideal,
-            stall_s=stall,
-        )
-
-    engine = EventEngine()
-    state = {"compute_free": 0.0, "stall": 0.0, "done": 0.0}
-
-    def consume(line_index: int) -> None:
-        granule_index = line_index // lines_per_granule
-        last_line_of_granule = min(
-            (granule_index + 1) * lines_per_granule - 1, n_lines - 1
-        )
-        verified_at = (last_line_of_granule + 1) * per_line + hash_lat
-        arrival = (line_index + 1) * per_line
-        ready = max(arrival, verified_at)
-        start = max(ready, state["compute_free"])
-        state["stall"] += max(0.0, ready - max(arrival, state["compute_free"]))
-        state["compute_free"] = start + compute_per_line_s
-        state["done"] = state["compute_free"]
-
-    engine.at_many([(i + 1) * per_line for i in range(n_lines)], consume)
-    engine.run()
-
+    # The per-line arrival and granule-verification times are pure
+    # functions of the line index, so they come out of one array
+    # expression; only the compute_free/stall recurrence stays serial.
+    index = np.arange(n_lines, dtype=np.int64)
+    last_line = np.minimum((index // lines_per_granule + 1) * lines_per_granule - 1, n_lines - 1)
+    verified_at = (last_line + 1) * per_line + hash_lat
+    arrivals = (index + 1) * per_line
+    readies = np.maximum(arrivals, verified_at)
+    compute_free = 0.0
+    stall = 0.0
+    for arrival, ready in zip(arrivals.tolist(), readies.tolist()):
+        wait = ready - max(arrival, compute_free)
+        if wait > 0.0:
+            stall += wait
+        compute_free = max(ready, compute_free) + compute_per_line_s
     return PipelineResult(
         scheme=f"granule-{granule_bytes}B",
-        total_s=state["done"],
+        total_s=compute_free,
         ideal_s=ideal,
-        stall_s=state["stall"],
+        stall_s=stall,
     )
 
 
@@ -143,14 +111,8 @@ def simulate_delayed_pipeline(
     n_lines, per_line = _line_times(config, tensor_bytes, 0.0)
     hash_lat = config.mac_latency_cycles / config.freq_hz
     compute_free = 0.0
-    if vec.enabled():
-        arrivals = (vec.np.arange(1, n_lines + 1, dtype=vec.np.int64) * per_line).tolist()
-        for arrival in arrivals:
-            compute_free = max(arrival, compute_free) + compute_per_line_s
-    else:
-        for i in range(n_lines):
-            arrival = (i + 1) * per_line
-            compute_free = max(arrival, compute_free) + compute_per_line_s
+    for arrival in (np.arange(1, n_lines + 1, dtype=np.int64) * per_line).tolist():
+        compute_free = max(arrival, compute_free) + compute_per_line_s
     # Barrier: the XOR accumulator finishes one hash latency after the last
     # line; the comparison itself is a few cycles.
     barrier_done = n_lines * per_line + hash_lat

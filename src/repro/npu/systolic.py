@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro import vec
+import numpy as np
+
 from repro.errors import ConfigError
 from repro.npu.config import NpuConfig
 
@@ -77,15 +78,12 @@ def gemm_times(
     """Roofline times of many GEMMs in one batched sweep.
 
     Bit-identical to a :func:`gemm_time` loop (same integer cycle counts,
-    same float64 divisions); the batched path evaluates the whole shape
-    sweep as array arithmetic, which is what the granularity/ablation
-    sweeps and the kernel scheduler iterate over.
+    same float64 divisions): the whole shape sweep is evaluated as array
+    arithmetic, which is what the granularity/ablation sweeps and the
+    kernel scheduler iterate over.
     """
-    if not vec.enabled():
-        return [gemm_time(config, shape, elem_bytes) for shape in shapes]
     if not shapes:
         return []
-    np = vec.np
     m = np.array([s.m for s in shapes], dtype=np.int64)
     n = np.array([s.n for s in shapes], dtype=np.int64)
     k = np.array([s.k for s in shapes], dtype=np.int64)

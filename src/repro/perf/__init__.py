@@ -3,8 +3,7 @@
 ``python -m repro bench`` drives this package: benchmarks register through
 the :func:`repro.perf.registry.benchmark` decorator (mirroring the
 experiment registry), the harness times each one with warmup/repeat
-statistics in both the vectorized and the ``REPRO_NO_VECTORIZE=1`` scalar
-mode, and the CLI emits a machine-readable ``BENCH_<timestamp>.json``
+statistics, and the CLI emits a machine-readable ``BENCH_<timestamp>.json``
 whose trajectory the CI ``bench-smoke`` job tracks against
 ``benchmarks/baseline.json``.
 """

@@ -11,7 +11,7 @@ One report is a JSON document (``BENCH_<timestamp>.json``)::
       "python": "3.12.1 ...",
       "platform": "Linux-...",
       "machine": "x86_64",
-      "numpy": "2.4.6",               # null on numpy-less installs
+      "numpy": "2.4.6",
       "benchmarks": [
         {
           "name": "crypto.ctr_keystream",
@@ -21,10 +21,9 @@ One report is a JSON document (``BENCH_<timestamp>.json``)::
             "vector": {"median_s": ..., "p10_s": ..., "p90_s": ...,
                         "mean_s": ..., "min_s": ..., "max_s": ...,
                         "repeat": 7, "warmup": 2,
-                        "throughput_items_per_s": ...},
-            "scalar": {...}
+                        "throughput_items_per_s": ...}
           },
-          "speedup": 42.0,            # scalar median / vector median
+          "speedup": null,            # kept for schema 2; always null
           "extra": {...}              # optional free-form workload metrics
                                       # (e.g. serve claim-latency p50/p90,
                                       # queue-depth series); never compared
@@ -32,9 +31,12 @@ One report is a JSON document (``BENCH_<timestamp>.json``)::
       ]
     }
 
-Comparison (``repro bench --compare BASELINE --threshold 1.25``) checks
-each (benchmark, mode) median against the baseline's and flags a
-regression when ``current > baseline * threshold``. Readers check
+Each bench is timed once, under the single mode label ``vector``; older
+reports may also carry a ``scalar`` mode and a numeric ``speedup`` from
+when kernels had scalar twins. Comparison (``repro bench --compare
+BASELINE --threshold 1.25``) checks each (benchmark, mode) median present
+on both sides against the baseline's and flags a regression when
+``current > baseline * threshold``. Readers check
 ``schema_version`` first (:func:`repro.schema.check_schema_version`), so a
 stale baseline fails with :class:`repro.errors.SchemaVersionError` rather
 than a KeyError mid-comparison.
@@ -50,7 +52,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro import vec
+import numpy as np
+
 from repro.errors import ConfigError
 from repro.perf.registry import BenchSpec
 from repro.schema import check_schema_version
@@ -60,10 +63,8 @@ from repro.schema import check_schema_version
 BENCH_SCHEMA = 2
 REPORT_KIND = "repro-bench"
 
-#: Mode labels. ``vector`` is "whatever the gate picks normally" — on a
-#: numpy-less install it degrades to the scalar loops and speedup is ~1.
+#: The one mode label a record's ``modes`` carries (schema 2 keeps the map).
 MODE_VECTOR = "vector"
-MODE_SCALAR = "scalar"
 
 _FULL_REPEAT, _FULL_WARMUP = 7, 2
 _QUICK_REPEAT, _QUICK_WARMUP = 3, 1
@@ -141,49 +142,28 @@ def _mode_record(samples: List[float], items: int, warmup: int) -> dict:
 
 
 def run_spec(spec: BenchSpec, quick: bool = False) -> dict:
-    """Time one benchmark in each of its modes; returns its report record.
+    """Time one benchmark; returns its report record.
 
     A factory-returned workload may carry a ``close`` attribute — a
-    zero-argument teardown the harness calls once that mode's timing is
-    done (the serve load benches use it to stop their localhost server
-    and delete its temp queue). Anything the workload put into
-    ``context.extra`` rides along in the record under ``"extra"``.
+    zero-argument teardown the harness calls once timing is done (the
+    serve load benches use it to stop their localhost server and delete
+    its temp queue). Anything the workload put into ``context.extra``
+    rides along in the record under ``"extra"``.
     """
     repeat = _QUICK_REPEAT if quick else _FULL_REPEAT
     warmup = _QUICK_WARMUP if quick else _FULL_WARMUP
-    modes: Dict[str, dict] = {}
-    items = 0
-    extra: Optional[Dict[str, object]] = None
-    mode_plan = [MODE_VECTOR, MODE_SCALAR] if spec.paired else [MODE_VECTOR]
-    for mode in mode_plan:
-        context = BenchContext(quick=quick)
-        if mode == MODE_SCALAR:
-            with vec.scalar_fallback():
-                workload = spec.factory(context)
-                samples = _time_and_close(workload, repeat, warmup)
-        else:
-            workload = spec.factory(context)
-            samples = _time_and_close(workload, repeat, warmup)
-        items = context.items or items
-        if context.extra:
-            extra = dict(context.extra)
-        modes[mode] = _mode_record(samples, context.items, warmup)
-    speedup = None
-    if spec.paired:
-        vector_median = modes[MODE_VECTOR]["median_s"]
-        scalar_median = modes[MODE_SCALAR]["median_s"]
-        if vector_median > 0:
-            speedup = scalar_median / vector_median
+    context = BenchContext(quick=quick)
+    samples = _time_and_close(spec.factory(context), repeat, warmup)
     record = {
         "name": spec.name,
         "tags": list(spec.tags),
         "description": spec.description,
-        "items": items,
-        "modes": modes,
-        "speedup": speedup,
+        "items": context.items,
+        "modes": {MODE_VECTOR: _mode_record(samples, context.items, warmup)},
+        "speedup": None,
     }
-    if extra is not None:
-        record["extra"] = extra
+    if context.extra:
+        record["extra"] = dict(context.extra)
     return record
 
 
@@ -218,7 +198,7 @@ def run_benchmarks(
         "python": sys.version.split()[0],
         "platform": platform.platform(),
         "machine": platform.machine(),
-        "numpy": vec.NUMPY_VERSION,
+        "numpy": np.__version__,
         "benchmarks": records,
     }
 
@@ -232,8 +212,6 @@ def format_record_line(record: dict) -> str:
         throughput = vector.get("throughput_items_per_s")
         if throughput:
             parts.append(f"{throughput:12.0f} items/s")
-    if record.get("speedup") is not None:
-        parts.append(f"speedup {record['speedup']:6.2f}x")
     return "  ".join(parts)
 
 

@@ -1,10 +1,10 @@
 """The hot-path kernel benchmarks ``python -m repro bench`` runs.
 
 Each benchmark is a factory returning a zero-argument workload over one of
-the vectorized batch APIs; ``paired=True`` times the same workload in the
-normal (vectorized) mode and under the ``REPRO_NO_VECTORIZE=1`` scalar
-reference loops, so the report carries the speedup trajectory of every
-kernel the tentpole vectorized.
+the NumPy batch APIs (AES blocks, counter-mode keystreams, MAC folding, MEE
+line streams, stream detection, the systolic roofline sweep) or the
+keyed-hash line MACs, so the report carries the time trajectory of every
+hot kernel.
 """
 
 from __future__ import annotations
@@ -54,9 +54,6 @@ def bench_ctr_keystream(ctx: BenchContext):
     vns = [ctx.rng.randrange(1, 1 << 40) for _ in range(n_lines)]
 
     def run():
-        # Fresh VNs per call would re-key the scalar memoisation; instead
-        # drop the cache so the scalar path really recomputes every line.
-        cipher._keystream_block.cache_clear()
         return cipher.keystream_lines(pas, vns)
 
     return run
@@ -85,7 +82,6 @@ def bench_mee_stream(ctx: BenchContext):
     payload = ctx.random_bytes(n_lines * LINE)
 
     def run():
-        mee.cipher._keystream_block.cache_clear()
         mee.write_lines(vaddrs, payload, vn=None)
         return mee.read_lines(vaddrs, vn=None, verify=True)
 
@@ -104,7 +100,6 @@ def bench_npu_tensor_stream(ctx: BenchContext):
     payload = ctx.random_bytes(tensor.nbytes)
 
     def run():
-        mee.cipher._keystream_block.cache_clear()
         engine.write_tensor(tensor, payload)
         engine.read_tensor_delayed(tensor)
         failed = engine.poll_verification()
@@ -159,9 +154,9 @@ def bench_gemm_sweep(ctx: BenchContext):
     return run
 
 
-@benchmark("crypto.mac_engine", tags=("crypto",), paired=False)
+@benchmark("crypto.mac_engine", tags=("crypto",))
 def bench_mac_engine(ctx: BenchContext):
-    """Keyed-hash line MACs for a stream (C-speed; tracked, not paired)."""
+    """Keyed-hash line MACs for a stream (C-speed hash, one call per line)."""
     n_lines = ctx.n(4096, 512)
     ctx.items = n_lines
     engine = MacEngine(_MAC_KEY)

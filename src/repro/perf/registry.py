@@ -5,10 +5,6 @@ A benchmark is a *factory*: the decorated function receives a
 and returns the zero-argument workload closure the harness times — so
 setup cost (building inputs, keying ciphers, growing Merkle trees) never
 pollutes the measurement.
-
-``paired=True`` (the default) times the workload twice, once normally and
-once under :func:`repro.vec.scalar_fallback`, and reports the speedup of
-the vectorized kernel over its scalar reference loop.
 """
 
 from __future__ import annotations
@@ -37,7 +33,6 @@ class BenchSpec:
     factory: Callable[..., Callable[[], object]]
     module: str
     tags: Tuple[str, ...]
-    paired: bool  #: time both vector and scalar modes, report speedup
     description: str
 
 
@@ -127,7 +122,6 @@ def benchmark(
     name: str,
     *,
     tags: Sequence[str] = (),
-    paired: bool = True,
     description: str = "",
     registry: Optional[BenchRegistry] = None,
 ) -> Callable[[Callable[..., Callable[[], object]]], Callable[..., Callable[[], object]]]:
@@ -143,7 +137,6 @@ def benchmark(
                 factory=func,
                 module=func.__module__,
                 tags=tuple(tags),
-                paired=paired,
                 description=doc,
             )
         )

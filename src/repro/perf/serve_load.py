@@ -143,7 +143,7 @@ def _submitter_workload(
     return run
 
 
-@benchmark("serve.submit_unique", tags=("serve", "wire"), paired=False)
+@benchmark("serve.submit_unique", tags=("serve", "wire"))
 def bench_submit_unique(ctx: BenchContext):
     """Concurrent single-job submissions, all cache misses.
 
@@ -153,7 +153,7 @@ def bench_submit_unique(ctx: BenchContext):
     return _submitter_workload(ctx, lambda deployment: deployment.unique_body)
 
 
-@benchmark("serve.submit_cached", tags=("serve", "wire"), paired=False)
+@benchmark("serve.submit_cached", tags=("serve", "wire"))
 def bench_submit_cached(ctx: BenchContext):
     """Concurrent duplicate submissions served from the fingerprint cache.
 
@@ -167,7 +167,7 @@ def bench_submit_cached(ctx: BenchContext):
     return _submitter_workload(ctx, body_for)
 
 
-@benchmark("serve.submit_batch", tags=("serve", "wire", "batch"), paired=False)
+@benchmark("serve.submit_batch", tags=("serve", "wire", "batch"))
 def bench_submit_batch(ctx: BenchContext):
     """One submit_batch POST carrying M unique jobs.
 
@@ -188,7 +188,7 @@ def bench_submit_batch(ctx: BenchContext):
     return run
 
 
-@benchmark("serve.status_batch", tags=("serve", "wire", "batch"), paired=False)
+@benchmark("serve.status_batch", tags=("serve", "wire", "batch"))
 def bench_status_batch(ctx: BenchContext):
     """One status_batch POST resolving every job on the server."""
     deployment = _Bench()
@@ -209,7 +209,7 @@ def bench_status_batch(ctx: BenchContext):
     return run
 
 
-@benchmark("serve.claim_cycle", tags=("serve", "wire"), paired=False)
+@benchmark("serve.claim_cycle", tags=("serve", "wire"))
 def bench_claim_cycle(ctx: BenchContext):
     """A worker's claim-complete cycle over a prefilled queue.
 
@@ -247,7 +247,7 @@ def bench_claim_cycle(ctx: BenchContext):
     return run
 
 
-@benchmark("serve.mixed_load", tags=("serve", "wire"), paired=False)
+@benchmark("serve.mixed_load", tags=("serve", "wire"))
 def bench_mixed_load(ctx: BenchContext):
     """Concurrent submitters mixing hits, misses, experiments, and sweeps.
 

@@ -1,28 +1,20 @@
-"""The ``trace_replay`` bench family: columnar trace API vs object replay.
+"""The ``trace_replay`` bench family: whole trace-replay passes.
 
-Tracks the tentpole win of the :class:`repro.sim.trace_batch.TraceBatch`
-redesign. Each paired bench times the batched pass normally and its
-``REPRO_NO_VECTORIZE=1`` scalar reference — the original per-``MemAccess``
-object loop — so the speedup column is the honest before/after of the
-trace-model redesign.
-
+Times the passes built on the columnar
+:class:`repro.sim.trace_batch.TraceBatch` model end to end, one call each.
 Two kinds of entries:
 
 - *replay* benches (``mee_walk``, ``pipeline_timing``): consume a whole
-  trace window through an array-expressible pass — these carry the >=10x
-  wins the family gates in CI;
+  trace window through an array-expressible pass;
 - *tracker* benches (``adam_trace``, ``gemm_trace``, ``sgx_metadata``,
   ``mee_geometry``): trace generation and LRU metadata accounting, whose
-  state-serial inner loops cap out lower (the batched pass strips
-  per-access objects/Stats/enum overhead but each touch still depends on
-  the previous one); tracked so regressions in either mode are caught.
+  inner loops are state-serial (each touch depends on the previous one).
 """
 
 from __future__ import annotations
 
 import random
 
-from repro import vec
 from repro.cpu.metadata_model import measure_sgx_metadata
 from repro.eval.scenarios import mee_cache_geometry
 from repro.mem.mee import FunctionalMee
@@ -51,7 +43,7 @@ _MAC_KEY = bytes(range(16, 32))
 @benchmark("trace_replay.mee_walk", tags=("trace_replay", "mem", "vector"))
 def bench_mee_walk(ctx: BenchContext):
     """Replay a trace window through the MEE: batch write+read with Merkle
-    walk counting vs the original per-line loop."""
+    walk counting."""
     n_lines = ctx.n(256, 64)
     ctx.items = n_lines
     batch = TraceBatch.reads([i * LINE for i in range(n_lines)])
@@ -59,28 +51,17 @@ def bench_mee_walk(ctx: BenchContext):
     payload = ctx.random_bytes(n_lines * LINE)
     mee = FunctionalMee(_AES_KEY, _MAC_KEY, protected_bytes=4 * MiB)
 
-    if vec.enabled():
+    def run():
+        mee.write_lines(vaddrs, payload, vn=None)
+        return mee.read_lines(vaddrs, vn=None, verify=True)
 
-        def run():
-            mee.cipher._keystream_block.cache_clear()
-            mee.write_lines(vaddrs, payload, vn=None)
-            return mee.read_lines(vaddrs, vn=None, verify=True)
-
-        return run
-
-    def run_scalar():
-        mee.cipher._keystream_block.cache_clear()
-        for i, vaddr in enumerate(vaddrs):
-            mee.write_line(vaddr, payload[i * LINE : (i + 1) * LINE], vn=None)
-        return [mee.read_line(vaddr, vn=None, verify=True) for vaddr in vaddrs]
-
-    return run_scalar
+    return run
 
 
 @benchmark("trace_replay.pipeline_timing", tags=("trace_replay", "npu", "vector"))
 def bench_pipeline_timing(ctx: BenchContext):
-    """Granule-MAC pipeline timing: array arrival/verify precompute vs the
-    event-engine replay."""
+    """Granule-MAC pipeline timing: array arrival/verify precompute plus the
+    serial stall recurrence."""
     tensor_bytes = ctx.n(8, 2) * (1 << 20)
     ctx.items = tensor_bytes // LINE
     config = NpuConfig()
@@ -94,7 +75,7 @@ def bench_pipeline_timing(ctx: BenchContext):
 
 @benchmark("trace_replay.adam_trace", tags=("trace_replay", "workloads", "vector"))
 def bench_adam_trace(ctx: BenchContext):
-    """Columnar Adam iteration-trace assembly vs the object generator."""
+    """Columnar Adam iteration-trace assembly (interleave plus gather)."""
     n_layers = ctx.n(24, 6)
     registry = TensorRegistry(alignment=4 * KiB, guard_bytes=256 * KiB)
     groups = build_adam_groups(registry, n_layers, 64)
@@ -109,7 +90,7 @@ def bench_adam_trace(ctx: BenchContext):
 
 @benchmark("trace_replay.gemm_trace", tags=("trace_replay", "workloads", "vector"))
 def bench_gemm_trace(ctx: BenchContext):
-    """Columnar tiled-GEMM trace assembly vs the object generator."""
+    """Columnar tiled-GEMM trace assembly."""
     config = GemmConfig() if ctx.quick else GemmConfig(m=512, n=512, k=512)
     registry = TensorRegistry(alignment=4 * KiB, guard_bytes=256 * KiB)
     a, b, c = build_gemm_tensors(registry, config)
@@ -123,8 +104,7 @@ def bench_gemm_trace(ctx: BenchContext):
 
 @benchmark("trace_replay.sgx_metadata", tags=("trace_replay", "mem", "vector"))
 def bench_sgx_metadata(ctx: BenchContext):
-    """SGX metadata-traffic accounting: inlined LRU replay vs the
-    MetadataCache object loop."""
+    """SGX metadata-traffic accounting: the inlined LRU replay."""
     sample_lines = ctx.n(40_000, 8_000)
     ctx.items = sample_lines
 
@@ -136,8 +116,7 @@ def bench_sgx_metadata(ctx: BenchContext):
 
 @benchmark("trace_replay.mee_geometry", tags=("trace_replay", "mem", "vector"))
 def bench_mee_geometry(ctx: BenchContext):
-    """MEE cache-geometry scenario: batched stream precompute + inlined LRU
-    vs the scalar MetadataCache walk."""
+    """MEE cache-geometry scenario: stream precompute plus inlined LRU."""
     iterations = ctx.n(4, 1)
     ctx.items = iterations * 48 * 32
 

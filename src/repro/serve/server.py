@@ -58,7 +58,8 @@ from repro.serve import schema
 from repro.serve.execution import execute_job
 from repro.serve.store import JobStore
 
-#: How long the executor naps between empty queue polls.
+#: How long the executor naps between empty queue polls, and how often the
+#: HTTP loop checks for shutdown (``close`` waits out at most one poll).
 _POLL_S = 0.05
 
 
@@ -117,7 +118,7 @@ class JobService:
 
     def start(self) -> None:
         """Start the HTTP thread (and the executor unless disabled)."""
-        http = threading.Thread(target=self.httpd.serve_forever, daemon=True)
+        http = threading.Thread(target=self.httpd.serve_forever, args=(_POLL_S,), daemon=True)
         http.start()
         self._threads.append(http)
         if self.start_executor:

@@ -1,8 +1,10 @@
 """A minimal discrete-event engine.
 
-Most of the reproduction uses closed-form stage models, but the overlap
-scheduler (:mod:`repro.comm.scheduler`) and the NPU pipeline model replay
-ordered events; this engine provides deterministic time-ordered dispatch.
+Most of the reproduction uses closed-form stage models and array passes;
+this engine provides deterministic time-ordered dispatch for models that
+replay ordered events, such as the event-driven reference of the Fig. 13
+pipeline timing that the parity tests check :mod:`repro.npu.pipeline`
+against.
 """
 
 from __future__ import annotations
@@ -57,27 +59,6 @@ class EventEngine:
         event = Event(time=time, seq=next(self._seq), action=action, label=label)
         heapq.heappush(self._queue, event)
         return event
-
-    def at_many(
-        self,
-        times: "list[float]",
-        action: Callable[[int], None],
-        label: str = "",
-    ) -> "list[Event]":
-        """Bulk-schedule ``action(i)`` at each ``times[i]`` (all >= now).
-
-        One heap push per event, validated up front — the batched twin of
-        calling :meth:`at` in a loop with index-capturing lambdas.
-        """
-        for time in times:
-            if time < self.now:
-                raise SimulationError(
-                    f"cannot schedule {label or action!r} at {time} < now ({self.now})"
-                )
-        return [
-            self.at(time, (lambda i=i: action(i)), label=label)
-            for i, time in enumerate(times)
-        ]
 
     def after(self, delay: float, action: Callable[[], None], label: str = "") -> Event:
         """Schedule ``action`` ``delay`` seconds from now."""

@@ -3,22 +3,17 @@
 The object trace API (:class:`repro.sim.trace.MemAccess`) materializes one
 frozen dataclass per 64-byte request — fine for unit tests, ruinous for the
 hot replay loops that stream hundreds of thousands of requests per figure.
-:class:`TraceBatch` keeps the same four fields as parallel columns
-(``vaddr`` / ``kind`` / ``thread`` / ``tensor_id``): NumPy ``int64`` arrays
-when NumPy is importable, plain lists otherwise, so the package still works
-on NumPy-less installs.
+:class:`TraceBatch` keeps the same four fields as parallel NumPy ``int64``
+columns (``vaddr`` / ``kind`` / ``thread`` / ``tensor_id``).
 
-Contract shared with every batch API behind :mod:`repro.vec`:
+Contract:
 
-- the *content* of a batch never depends on the vectorization mode — a
-  ``REPRO_NO_VECTORIZE=1`` run sees the same addresses in the same order,
-  which is what keeps the paper artifacts digest-identical across modes;
 - the object API remains a thin view: :meth:`from_accesses` /
   :meth:`to_accesses` round-trip losslessly, and iterating a batch yields
   :class:`MemAccess` records;
-- windowed slicing (:meth:`window` / :meth:`windows`) is zero-copy on the
-  NumPy representation, so replay loops can process whole trace windows
-  without re-materializing them.
+- windowed slicing (:meth:`window` / :meth:`windows`) is zero-copy, so
+  replay loops can process whole trace windows without re-materializing
+  them.
 
 Kinds are stored as small integer codes (:data:`KIND_READ`,
 :data:`KIND_WRITE`, :data:`KIND_INST`) matching the enum order of
@@ -29,7 +24,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
-from repro import vec
+import numpy as np
+
 from repro.errors import ConfigError
 from repro.sim.trace import AccessKind, MemAccess
 
@@ -46,15 +42,12 @@ _KIND_TO_CODE = {
 _CODE_TO_KIND = (AccessKind.READ, AccessKind.WRITE, AccessKind.INST)
 
 
-def _column(values: Sequence[int]):
-    """Materialize one column: ``int64`` array with NumPy, list without."""
-    if vec.HAVE_NUMPY:
-        np = vec.np
-        array = np.asarray(values, dtype=np.int64)
-        if array.ndim != 1:
-            raise ConfigError("trace columns must be one-dimensional")
-        return array
-    return [int(v) for v in values]
+def _column(values: Sequence[int]) -> np.ndarray:
+    """Materialize one column as a one-dimensional ``int64`` array."""
+    array = np.asarray(values, dtype=np.int64)
+    if array.ndim != 1:
+        raise ConfigError("trace columns must be one-dimensional")
+    return array
 
 
 class TraceBatch:
@@ -125,24 +118,12 @@ class TraceBatch:
         """Concatenate batches in order."""
         if not batches:
             return cls.empty()
-        if vec.HAVE_NUMPY:
-            np = vec.np
-            return cls(
-                np.concatenate([b.vaddr for b in batches]),
-                np.concatenate([b.kind for b in batches]),
-                np.concatenate([b.thread for b in batches]),
-                np.concatenate([b.tensor_id for b in batches]),
-            )
-        vaddr: List[int] = []
-        kind: List[int] = []
-        thread: List[int] = []
-        tensor_id: List[int] = []
-        for b in batches:
-            vaddr.extend(b.vaddr)
-            kind.extend(b.kind)
-            thread.extend(b.thread)
-            tensor_id.extend(b.tensor_id)
-        return cls(vaddr, kind, thread, tensor_id)
+        return cls(
+            np.concatenate([b.vaddr for b in batches]),
+            np.concatenate([b.kind for b in batches]),
+            np.concatenate([b.thread for b in batches]),
+            np.concatenate([b.tensor_id for b in batches]),
+        )
 
     # -- views -----------------------------------------------------------------
 
@@ -150,7 +131,7 @@ class TraceBatch:
         return len(self.vaddr)
 
     def window(self, start: int, stop: int | None = None) -> "TraceBatch":
-        """The ``[start:stop)`` slice as a batch (zero-copy under NumPy)."""
+        """The ``[start:stop)`` slice as a batch (zero-copy)."""
         return TraceBatch(
             self.vaddr[start:stop],
             self.kind[start:stop],
@@ -172,14 +153,12 @@ class TraceBatch:
         native lists is ~3x faster than over NumPy arrays (no per-element
         boxing), and the values are plain ``int``.
         """
-        if vec.HAVE_NUMPY:
-            return (
-                self.vaddr.tolist(),
-                self.kind.tolist(),
-                self.thread.tolist(),
-                self.tensor_id.tolist(),
-            )
-        return (list(self.vaddr), list(self.kind), list(self.thread), list(self.tensor_id))
+        return (
+            self.vaddr.tolist(),
+            self.kind.tolist(),
+            self.thread.tolist(),
+            self.tensor_id.tolist(),
+        )
 
     def to_accesses(self) -> List[MemAccess]:
         """Materialize the legacy object view."""

@@ -21,9 +21,10 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro import vec
+import numpy as np
+
 from repro.errors import ConfigError
-from repro.sim.trace import AccessKind, MemAccess
+from repro.sim.trace import MemAccess
 from repro.sim.trace_batch import KIND_READ, KIND_WRITE, TraceBatch
 from repro.tensor.dtype import DType
 from repro.tensor.registry import TensorRegistry
@@ -146,95 +147,6 @@ class AdamTraceConfig:
     seed: int = 1234
 
 
-def _thread_layer_stream(
-    group: AdamGroup, thread: int, threads: int, burst_lines: int, write_lag_bursts: int
-) -> List[List[MemAccess]]:
-    """Scalar reference: thread ``thread``'s bursts as per-access objects.
-
-    Kept verbatim as the ``REPRO_NO_VECTORIZE=1`` construction path; the
-    columnar builder (:func:`_thread_layer_columns`) must emit the same
-    accesses in the same order (enforced by the parity tests).
-    """
-    shards = {t.name: t.shard_lines(threads, thread) for t in group.all_tensors()}
-    w32 = shards[group.weight32.name]
-    m = shards[group.momentum.name]
-    v = shards[group.variance.name]
-    g = shards[group.grad32.name]
-    w16 = shards[group.weight16.name]
-    n = len(w32)
-    n_read_bursts = -(-n // burst_lines)
-    bursts: List[List[MemAccess]] = []
-    w16_cursor = 0
-    for burst_index in range(n_read_bursts + write_lag_bursts):
-        burst: List[MemAccess] = []
-        start = burst_index * burst_lines
-        stop = min(start + burst_lines, n)
-        if start < n:
-            for role_tensor, lines in (
-                (group.weight32, w32),
-                (group.momentum, m),
-                (group.variance, v),
-                (group.grad32, g),
-            ):
-                for i in range(start, stop):
-                    if i < len(lines):
-                        burst.append(
-                            MemAccess(lines[i], AccessKind.READ, thread, role_tensor.tensor_id)
-                        )
-        wb_index = burst_index - write_lag_bursts
-        wb_start = wb_index * burst_lines
-        wb_stop = min(wb_start + burst_lines, n)
-        if wb_index >= 0 and wb_start < n:
-            for role_tensor, lines in (
-                (group.weight32, w32),
-                (group.momentum, m),
-                (group.variance, v),
-            ):
-                for i in range(wb_start, wb_stop):
-                    if i < len(lines):
-                        burst.append(
-                            MemAccess(lines[i], AccessKind.WRITE, thread, role_tensor.tensor_id)
-                        )
-            # fp16 output advances at half the fp32 line rate.
-            w16_target = min(len(w16), (wb_stop * len(w16) + n - 1) // n)
-            while w16_cursor < w16_target:
-                burst.append(
-                    MemAccess(w16[w16_cursor], AccessKind.WRITE, thread, group.weight16.tensor_id)
-                )
-                w16_cursor += 1
-        if burst:
-            bursts.append(burst)
-    return bursts
-
-
-def _adam_iteration_objects(
-    groups: Sequence[AdamGroup],
-    config: AdamTraceConfig,
-    rng: random.Random,
-) -> List[MemAccess]:
-    """Scalar reference: the original per-access object generator."""
-    trace: List[MemAccess] = []
-    for group in groups:
-        per_thread = [
-            _thread_layer_stream(
-                group, t, config.threads, config.burst_lines, config.write_lag_bursts
-            )
-            for t in range(config.threads)
-        ]
-        cursors = [0] * config.threads
-        remaining = sum(len(b) for b in per_thread)
-        while remaining:
-            for t in range(config.threads):
-                if cursors[t] >= len(per_thread[t]):
-                    continue
-                if config.thread_skew and rng.random() < config.thread_skew:
-                    continue
-                trace.extend(per_thread[t][cursors[t]])
-                cursors[t] += 1
-                remaining -= 1
-    return trace
-
-
 #: Per-thread, per-layer column stream: (vaddr, kind, tensor_id, burst bounds).
 _ThreadColumns = Tuple[List[int], List[int], List[int], List[Tuple[int, int]]]
 
@@ -344,7 +256,7 @@ def _layer_streams(group: AdamGroup, config: AdamTraceConfig) -> _LayerStreams:
             rows[2].extend([t] * len(t_vaddr))
             rows[3].extend(t_tensor)
             bursts.append([(offset + start, offset + stop) for start, stop in bounds])
-        columns = tuple(vec.np.array(row, dtype=dtype) for row, dtype in zip(rows, _STREAM_DTYPES))
+        columns = tuple(np.array(row, dtype=dtype) for row, dtype in zip(rows, _STREAM_DTYPES))
         streams = _LayerStreams(columns, bursts)
         group._streams[key] = streams
     return streams
@@ -358,21 +270,14 @@ def adam_iteration_batch(
     """One optimizer iteration as seen by the memory controller.
 
     All threads walk the layers in order; within a layer the MC sees a
-    round-robin interleave of thread bursts with random skew. Returns the
-    columnar trace; the RNG skew sequence is identical to what the legacy
-    object generator consumed, so seeded runs are unaffected by the
-    representation.
-
-    Vector mode reuses each group's per-thread column streams
-    (:func:`_layer_streams`) and gathers the interleaved bursts in one
-    array index per layer; the scalar reference runs the original
-    per-access object generator and columnarizes it. Identical batches
-    either way.
+    round-robin interleave of thread bursts with random skew (while
+    ``thread_skew`` is nonzero, each turn of a thread with bursts left
+    draws once from ``rng`` and skips with that probability). Each
+    group's per-thread column streams are reused
+    (:func:`_layer_streams`) and the interleaved bursts are gathered with
+    one array index per layer.
     """
     rng = rng if rng is not None else random.Random(config.seed)
-    if not vec.enabled():
-        return TraceBatch.from_accesses(_adam_iteration_objects(groups, config, rng))
-    np = vec.np
     skew = config.thread_skew
     parts = []
     for group in groups:
@@ -457,13 +362,9 @@ def gemm_batch(
     """One full tiled GEMM pass (output-stationary: C written once per tile).
 
     Loop order: for each output tile (i, j): accumulate over k reading A and
-    B tile rows; after the k loop, read-modify-write the C tile rows.
-    Vector mode emits the columns row-segment by row-segment; the scalar
-    reference runs the original per-access object generator and
-    columnarizes it. Identical batches either way.
+    B tile rows; after the k loop, read-modify-write the C tile rows. The
+    columns are emitted row-segment by row-segment.
     """
-    if not vec.enabled():
-        return TraceBatch.from_accesses(_gemm_objects(a, b, c, config, thread))
     vaddr: List[int] = []
     kind: List[int] = []
     tensor_id: List[int] = []
@@ -484,33 +385,6 @@ def gemm_batch(
             emit_rows(c, i0, j0, config.tile_m, config.tile_n, KIND_READ)
             emit_rows(c, i0, j0, config.tile_m, config.tile_n, KIND_WRITE)
     return TraceBatch.from_columns(vaddr, kind, [thread] * len(vaddr), tensor_id)
-
-
-def _gemm_objects(
-    a: TensorDesc,
-    b: TensorDesc,
-    c: TensorDesc,
-    config: GemmConfig,
-    thread: int = 0,
-) -> List[MemAccess]:
-    """Scalar reference: the original per-access object generator."""
-    trace: List[MemAccess] = []
-
-    def emit_rows(
-        t: TensorDesc, row0: int, col0: int, rows: int, cols: int, kind: AccessKind
-    ) -> None:
-        for r in range(row0, row0 + rows):
-            for addr in t.tile_row_lines(r, col0, cols):
-                trace.append(MemAccess(addr, kind, thread, t.tensor_id))
-
-    for i0 in range(0, config.m, config.tile_m):
-        for j0 in range(0, config.n, config.tile_n):
-            for k0 in range(0, config.k, config.tile_k):
-                emit_rows(a, i0, k0, config.tile_m, config.tile_k, AccessKind.READ)
-                emit_rows(b, k0, j0, config.tile_k, config.tile_n, AccessKind.READ)
-            emit_rows(c, i0, j0, config.tile_m, config.tile_n, AccessKind.READ)
-            emit_rows(c, i0, j0, config.tile_m, config.tile_n, AccessKind.WRITE)
-    return trace
 
 
 def gemm_trace(
@@ -673,9 +547,7 @@ def attention_batch(
     """One attention layer as seen by the memory controller.
 
     One hardware thread per head; the controller sees the deterministic
-    round-robin interleave of per-head bursts. A single construction path
-    serves both vectorize modes (the assembly is pure column extends, so
-    there is nothing to vectorize differently) — parity is structural.
+    round-robin interleave of per-head bursts, assembled by column extends.
     """
     per_head = [_attention_head_bursts(h, config) for h in tensors.heads]
     vaddr: List[int] = []

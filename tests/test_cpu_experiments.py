@@ -10,6 +10,7 @@ from repro.cpu.sgx import sgx_costs
 from repro.cpu.softvn import softvn_costs
 from repro.cpu.tensortee_mode import AnalyzerRates, tensortee_costs
 from repro.cpu.timing import adam_latency, non_secure_costs, slowdown
+from repro.errors import ConfigError
 from repro.units import GiB
 from repro.workloads.traces import GemmConfig
 
@@ -31,6 +32,11 @@ class TestMetadataModel:
         assert 0.15 < t.read_txns_per_line < 1.0
         assert t.write_txns_per_line > 0
         assert t.metadata_hit_rate > 0.5
+
+    @pytest.mark.parametrize("streams", [0, -2])
+    def test_non_positive_streams_is_a_config_error(self, streams):
+        with pytest.raises(ConfigError, match="streams must be positive"):
+            measure_sgx_metadata(1 * GiB, sample_lines=1000, streams=streams)
 
 
 class TestTimingModel:

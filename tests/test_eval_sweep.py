@@ -145,81 +145,10 @@ class TestSpecParsing:
         with pytest.raises(ConfigError, match="expects int"):
             spec_from_dict(raw)
 
-    def test_fallback_toml_parser_handles_spec_constructs(self):
-        # The Python 3.10 path: no tomllib, so the subset parser must
-        # read everything the spec layout uses.
-        text = """
-        # comment
-        [sweep]
-        name = "x"          # trailing comment
-        seed = -3
-        quickish = true
-        ratio = 1.5
-
-        [sweep.base]
-        preset = "2.8b"
-
-        [[sweep.axes]]
-        param = "granule_bytes"
-        values = [64, 256,
-                  1024]
-
-        [[sweep.axes]]
-        param = "policy"
-        values = ["eager", "delayed"]
-        """
-        parsed = sweep_mod._parse_toml_subset(text, origin="<test>")
-        assert parsed["sweep"]["name"] == "x"
-        assert parsed["sweep"]["seed"] == -3
-        assert parsed["sweep"]["quickish"] is True
-        assert parsed["sweep"]["ratio"] == 1.5
-        assert parsed["sweep"]["base"] == {"preset": "2.8b"}
-        assert parsed["sweep"]["axes"] == [
-            {"param": "granule_bytes", "values": [64, 256, 1024]},
-            {"param": "policy", "values": ["eager", "delayed"]},
-        ]
-
-    def test_fallback_toml_parser_matches_tomllib_on_shipped_specs(self):
-        tomllib = pytest.importorskip("tomllib")
-        for name in sweep_mod.available_specs():
-            path = os.path.join(sweep_mod.sweeps_dir(), f"{name}.toml")
-            text = open(path, encoding="utf-8").read()
-            assert sweep_mod._parse_toml_subset(text, path) == tomllib.loads(text), name
-
-    def test_fallback_toml_parser_rejects_garbage(self):
-        with pytest.raises(ConfigError, match="line 1"):
-            sweep_mod._parse_toml_subset("not toml at all", "<test>")
-        with pytest.raises(ConfigError, match="unterminated"):
-            sweep_mod._parse_toml_subset('x = "open', "<test>")
-        with pytest.raises(ConfigError, match="unterminated multi-line"):
-            sweep_mod._parse_toml_subset("x = [1,\n2", "<test>")
-
-    def test_load_spec_without_tomllib_uses_fallback(self, tmp_path, monkeypatch):
-        import builtins
-
-        real_import = builtins.__import__
-
-        def no_tomllib(name, *args, **kwargs):
-            if name == "tomllib":
-                raise ImportError("forced for test")
-            return real_import(name, *args, **kwargs)
-
-        monkeypatch.setattr(builtins, "__import__", no_tomllib)
-        path = write_toml(
-            tmp_path / "fb.toml",
-            """
-            [sweep]
-            name = "fb"
-            experiment = "mac_policy"
-
-            [[sweep.axes]]
-            param = "policy"
-            values = ["eager", "delayed"]
-            """,
-        )
-        spec = load_spec(path)
-        assert spec.name == "fb"
-        assert spec.n_points() == 2
+    def test_malformed_toml_names_the_file(self, tmp_path):
+        path = write_toml(tmp_path / "broken.toml", '[sweep]\nname = "open\n')
+        with pytest.raises(ConfigError, match="cannot parse sweep spec .*broken.toml"):
+            load_spec(path)
 
     def test_duplicate_axis_values_rejected(self):
         raw = dict(MAC_2X2, axes=[{"param": "granule_bytes", "values": [64, 64]}])

@@ -5,12 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
+from repro.eval.scenarios import mee_cache_geometry
 from repro.mem.backing import SimulatedDram
-from repro.mem.cache import SetAssocCache
+from repro.mem.cache import LruCacheCore
 from repro.mem.dram import ddr4_2400_2ch, gddr5_npu
 from repro.mem.layout import PageTable, line_index, line_of, page_of
-from repro.mem.metadata_cache import MetadataCache, MetadataKind
-from repro.units import KiB, PAGE_BYTES
+from repro.mem.metadata_cache import KEY_SHIFT, MAC_BASE, REGION_STRIDE, TREE_BASE
+from repro.units import CACHELINE_BYTES, KiB, PAGE_BYTES
 
 
 class TestLayout:
@@ -61,72 +62,84 @@ class TestSimulatedDram:
 
 
 class TestSetAssocCache:
+    """LRU semantics of the set-associative core the replay loops inline."""
+
     def test_hit_after_fill(self):
-        cache = SetAssocCache(capacity_bytes=1024, ways=2)
-        assert cache.access(0) is False
-        assert cache.access(0) is True
+        cache = LruCacheCore.for_cache(capacity_bytes=1024, ways=2)
+        assert cache.touch(0) is False
+        assert cache.touch(0) is True
 
     def test_lru_eviction(self):
-        cache = SetAssocCache(capacity_bytes=2 * 64, ways=2)  # one set, 2 ways
-        cache.access(0)
-        cache.access(64)
-        cache.access(128)  # evicts line 0
-        assert cache.access(0) is False
+        cache = LruCacheCore.for_cache(capacity_bytes=2 * 64, ways=2)  # one set, 2 ways
+        cache.touch(0)
+        cache.touch(1)
+        cache.touch(2)  # evicts line 0
+        assert cache.touch(0) is False
 
     def test_lru_touch_protects(self):
-        cache = SetAssocCache(capacity_bytes=2 * 64, ways=2)
-        cache.access(0)
-        cache.access(64)
-        cache.access(0)  # touch 0 -> 64 becomes LRU
-        cache.access(128)
-        assert cache.access(0) is True
+        cache = LruCacheCore.for_cache(capacity_bytes=2 * 64, ways=2)
+        cache.touch(0)
+        cache.touch(1)
+        cache.touch(0)  # touch 0 -> 1 becomes LRU
+        cache.touch(2)
+        assert cache.touch(0) is True
 
     def test_dirty_writeback_counted(self):
-        cache = SetAssocCache(capacity_bytes=2 * 64, ways=2)
-        cache.access(0, write=True)
-        cache.access(64)
-        cache.access(128)  # evicts dirty line 0
-        assert cache.stats["writebacks"] == 1
+        cache = LruCacheCore.for_cache(capacity_bytes=2 * 64, ways=2)
+        cache.touch(0, write=True)
+        cache.touch(1)
+        cache.touch(2)  # evicts dirty line 0
+        assert (cache.evictions, cache.writebacks) == (1, 1)
 
     def test_flush_reports_dirty(self):
-        cache = SetAssocCache(capacity_bytes=1024, ways=4)
-        cache.access(0, write=True)
-        cache.access(64)
+        cache = LruCacheCore.for_cache(capacity_bytes=1024, ways=4)
+        cache.touch(0, write=True)
+        cache.touch(1)
         assert cache.flush() == 1
+        assert not any(cache.sets)
 
-    def test_invalidate(self):
-        cache = SetAssocCache(capacity_bytes=1024, ways=4)
-        cache.access(0)
-        assert cache.invalidate(0) is True
-        assert cache.access(0) is False
+    @pytest.mark.parametrize("capacity, ways", [(32 * KiB, 0), (0, 8), (-64, 8), (32 * KiB, -1)])
+    def test_non_positive_geometry_is_a_config_error(self, capacity, ways):
+        with pytest.raises(ConfigError, match="capacity and associativity must be positive"):
+            LruCacheCore.for_cache(capacity, ways=ways)
 
     @given(st.lists(st.integers(0, 63), min_size=1, max_size=200))
     @settings(max_examples=25, deadline=None)
     def test_property_capacity_respected(self, lines):
-        cache = SetAssocCache(capacity_bytes=8 * 64, ways=2)
+        cache = LruCacheCore.for_cache(capacity_bytes=8 * 64, ways=2)
         for line in lines:
-            cache.access(line * 64)
-        resident = sum(len(s) for s in cache._sets.values())
-        assert resident <= 8
+            cache.touch(line)
+        assert sum(len(s) for s in cache.sets) <= 8
+        assert all(len(s) <= 2 for s in cache.sets)
 
 
 class TestMetadataCache:
+    """The metadata key layout and the covered-level walk over it."""
+
     def test_kinds_do_not_alias(self):
-        mc = MetadataCache(capacity_bytes=32 * KiB)
-        mc.access(MetadataKind.VN, 0)
-        assert mc.contains(MetadataKind.VN, 0)
-        assert not mc.contains(MetadataKind.MAC, 0)
+        assert KEY_SHIFT == (REGION_STRIDE // CACHELINE_BYTES).bit_length() - 1
+        cache = LruCacheCore.for_cache(32 * KiB)
+        cache.touch(0)  # VN line 0
+        assert cache.contains(0)
+        assert not cache.contains(MAC_BASE)
+        assert not cache.contains(TREE_BASE + (1 << KEY_SHIFT))
 
     def test_tree_levels_do_not_alias(self):
-        mc = MetadataCache(capacity_bytes=32 * KiB)
-        mc.access(MetadataKind.TREE, 0, level=1)
-        assert not mc.contains(MetadataKind.TREE, 0, level=2)
+        cache = LruCacheCore.for_cache(32 * KiB)
+        cache.touch(TREE_BASE + (1 << KEY_SHIFT))  # node 0 at level 1
+        assert not cache.contains(TREE_BASE + (2 << KEY_SHIFT))
 
     def test_covered_level_finds_cached_ancestor(self):
-        mc = MetadataCache(capacity_bytes=32 * KiB)
-        assert mc.covered_level(64, levels=4) == 4  # nothing cached -> root
-        mc.access(MetadataKind.TREE, 64 // 8, level=1)
-        assert mc.covered_level(64, levels=4) == 1
+        # Eight VN lines under one level-1 node, a two-level tree: the first
+        # read walks to the root (covered level 2) and caches the shared
+        # level-1 node, which then covers the other seven reads.
+        result = mee_cache_geometry(tensors=1, lines_per_tensor=8, iterations=1)
+        assert result.levels == 2
+        assert result.mean_covered_level == (2 + 7 * 1) / 8
+
+    def test_zero_way_geometry_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="associativity must be positive"):
+            mee_cache_geometry(ways=0)
 
 
 class TestDramTiming:

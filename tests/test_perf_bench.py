@@ -1,17 +1,20 @@
-"""The bench subsystem: registry, harness, CLI, and scalar/vector parity.
+"""The bench subsystem: registry, harness, CLI, and batch-kernel parity.
 
-The parity tests are the contract behind every vectorized kernel: the
-NumPy batch path and the ``REPRO_NO_VECTORIZE=1`` scalar reference loops
-must agree bit-for-bit on random inputs, so flipping the gate can only
-ever change speed.
+The parity tests are the contract behind every NumPy batch kernel: it must
+agree bit-for-bit on random inputs with its per-element reference — the
+per-element production API where there is one (``encrypt_block``,
+``keystream``/``encrypt_line``, ``write_line``/``read_line``,
+``gemm_time``), an oracle in ``tests/oracles/`` otherwise.
 """
 
+import functools
 import json
+import operator
 import random
 
 import pytest
+from oracles import streams as streams_oracle
 
-from repro import vec
 from repro.cli import main as cli_main
 from repro.cpu.tenanalyzer.tensor_filter import detect_streams
 from repro.crypto.aes import AES128
@@ -39,34 +42,9 @@ LINE = CACHELINE_BYTES
 KEY_A = bytes(range(16))
 KEY_B = bytes(range(16, 32))
 
-needs_numpy = pytest.mark.skipif(not vec.HAVE_NUMPY, reason="numpy not installed")
+# -- batch kernels against their per-element references ------------------------
 
 
-# -- the vectorization gate ---------------------------------------------------
-
-
-class TestVecGate:
-    def test_scalar_fallback_context(self):
-        was_enabled = vec.enabled()
-        with vec.scalar_fallback():
-            assert not vec.enabled()
-            with vec.scalar_fallback():
-                assert not vec.enabled()
-            assert not vec.enabled()
-        assert vec.enabled() == was_enabled
-
-    def test_env_var_disables(self, monkeypatch):
-        monkeypatch.setenv(vec.NO_VECTORIZE_ENV, "1")
-        assert not vec.enabled()
-        assert vec.mode() == "scalar"
-        monkeypatch.setenv(vec.NO_VECTORIZE_ENV, "0")
-        assert vec.enabled() == vec.HAVE_NUMPY
-
-
-# -- scalar/vector parity on random inputs ------------------------------------
-
-
-@needs_numpy
 class TestKernelParity:
     def test_aes_blocks_match_block_loop(self):
         rng = random.Random(1)
@@ -76,8 +54,6 @@ class TestKernelParity:
             aes.encrypt_block(blocks[i : i + 16]) for i in range(0, len(blocks), 16)
         )
         assert aes.encrypt_blocks(blocks) == expected
-        with vec.scalar_fallback():
-            assert aes.encrypt_blocks(blocks) == expected
 
     def test_aes_fips_vector_batched(self):
         aes = AES128(bytes(range(16)))
@@ -85,28 +61,27 @@ class TestKernelParity:
         expected = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
         assert aes.encrypt_blocks(block * 8) == expected * 8
 
-    def test_ctr_lines_match_scalar(self, monkeypatch):
+    def test_ctr_lines_match_scalar(self):
         rng = random.Random(2)
         cipher = CounterModeCipher(KEY_A)
         pas = [rng.randrange(1 << 48) * LINE for _ in range(63)]
         vns = [rng.randrange(1 << 56) for _ in pas]
         data = rng.randbytes(len(pas) * LINE)
-        vectorized = cipher.encrypt_lines(data, pas, vns)
-        monkeypatch.setenv(vec.NO_VECTORIZE_ENV, "1")
         assert cipher.keystream_lines(pas, vns) == b"".join(
             cipher.keystream(pa, vn) for pa, vn in zip(pas, vns)
         )
-        scalar = cipher.encrypt_lines(data, pas, vns)
-        assert vectorized == scalar
-        # XOR is an involution either way.
-        monkeypatch.delenv(vec.NO_VECTORIZE_ENV)
-        assert cipher.decrypt_lines(vectorized, pas, vns) == data
+        batched = cipher.encrypt_lines(data, pas, vns)
+        assert batched == b"".join(
+            cipher.encrypt_line(data[i * LINE : (i + 1) * LINE], pa, vn)
+            for i, (pa, vn) in enumerate(zip(pas, vns))
+        )
+        # XOR is an involution.
+        assert cipher.decrypt_lines(batched, pas, vns) == data
 
     def test_xor_macs_matches_fold(self):
         rng = random.Random(3)
         macs = [rng.randrange(1 << 56) for _ in range(999)]
-        with vec.scalar_fallback():
-            expected = xor_macs(macs)
+        expected = functools.reduce(operator.xor, macs, 0)
         assert xor_macs(macs) == expected
         assert xor_macs(iter(macs)) == expected
         assert xor_macs([]) == 0
@@ -148,15 +123,13 @@ class TestKernelParity:
             return mee
 
         bulk = populate(bulk=True)
-        with vec.scalar_fallback():
-            reference = populate(bulk=False)
+        reference = populate(bulk=False)
         assert bulk.vn_store == reference.vn_store
         assert bulk.mac_store == reference.mac_store
         for vaddr in vaddrs:
             assert bulk.snoop(vaddr) == reference.snoop(vaddr)
         assert bulk.read_lines(vaddrs) == payload
-        with vec.scalar_fallback():
-            assert bulk.read_lines(vaddrs) == payload
+        assert b"".join(reference.read_line(vaddr) for vaddr in vaddrs) == payload
         assert bulk.line_macs_of(vaddrs, vn=1) == [
             reference.line_mac_of(vaddr, vn=1) for vaddr in vaddrs
         ]
@@ -172,24 +145,24 @@ class TestKernelParity:
             mee.read_lines(vaddrs)
 
     def test_delayed_engine_parity(self):
-        def roundtrip() -> bytes:
-            registry = TensorRegistry(base_va=0x4200_0000_0000)
-            mee = FunctionalMee(
-                KEY_A, KEY_B, with_merkle=False, protected_bytes=1 * MiB
-            )
-            engine = DelayedVerificationEngine(
-                NpuConfig(), mee, TensorVnTable(registry)
-            )
-            tensor = registry.allocate("t", (300,), DType.FP32)
-            payload = bytes(i % 251 for i in range(tensor.nbytes))
-            engine.write_tensor(tensor, payload)
-            data = engine.read_tensor_delayed(tensor)
-            assert engine.poll_verification() == []
-            return data
-
-        vectorized = roundtrip()
-        with vec.scalar_fallback():
-            assert roundtrip() == vectorized
+        registry = TensorRegistry(base_va=0x4200_0000_0000)
+        mee = FunctionalMee(KEY_A, KEY_B, with_merkle=False, protected_bytes=1 * MiB)
+        vn_table = TensorVnTable(registry)
+        engine = DelayedVerificationEngine(NpuConfig(), mee, vn_table)
+        tensor = registry.allocate("t", (300,), DType.FP32)
+        payload = bytes(i % 251 for i in range(tensor.nbytes))
+        engine.write_tensor(tensor, payload)
+        data = engine.read_tensor_delayed(tensor)
+        assert engine.poll_verification() == []
+        # Per-line reference: strict line reads and the XOR of line MACs.
+        vn = vn_table.vn_of(tensor)
+        vaddrs = list(tensor.line_addresses())
+        lines = b"".join(mee.read_line(vaddr, vn=vn, verify=True) for vaddr in vaddrs)
+        assert data == lines[: tensor.nbytes] == payload
+        line_macs = [mee.line_mac_of(vaddr, vn) for vaddr in vaddrs]
+        assert engine.mac_table.mac_of(tensor.tensor_id) == functools.reduce(
+            operator.xor, line_macs
+        )
 
     def test_detect_streams_parity(self):
         rng = random.Random(6)
@@ -202,11 +175,9 @@ class TestKernelParity:
                 vaddrs.append(va + i * LINE)
                 vns.append(vn)
             va += (run + rng.randrange(0, 3)) * LINE
-        vectorized = detect_streams(vaddrs, vns, min_run=4)
-        with vec.scalar_fallback():
-            scalar = detect_streams(vaddrs, vns, min_run=4)
-        assert vectorized == scalar
-        assert all(vn > 0 for _, vn in vectorized)
+        batched = detect_streams(vaddrs, vns, min_run=4)
+        assert batched == streams_oracle.detect_streams(vaddrs, vns, min_run=4)
+        assert batched and all(vn > 0 for _, vn in batched)
         assert detect_streams([], [], min_run=4) == []
 
     def test_prime_from_trace_matches_filter_detection(self):
@@ -249,10 +220,8 @@ class TestKernelParity:
             GemmShape(rng.randrange(1, 5000), rng.randrange(1, 5000), rng.randrange(1, 5000))
             for _ in range(100)
         ]
-        vectorized = gemm_times(config, shapes)
-        assert vectorized == [gemm_time(config, shape) for shape in shapes]
-        with vec.scalar_fallback():
-            assert gemm_times(config, shapes) == vectorized
+        assert gemm_times(config, shapes) == [gemm_time(config, shape) for shape in shapes]
+        assert gemm_times(config, []) == []
 
 
 # -- bench registry ------------------------------------------------------------
@@ -263,8 +232,6 @@ class TestBenchRegistry:
         specs = BENCH_REGISTRY.specs()
         assert len(specs) >= 6
         assert len({s.name for s in specs}) == len(specs)
-        paired = [s for s in specs if s.paired]
-        assert len(paired) >= 5
 
     def test_duplicate_name_rejected(self):
         registry = BenchRegistry()
@@ -321,8 +288,8 @@ class TestHarness:
         assert validate_report(report) == []
         record = report["benchmarks"][0]
         assert record["name"] == "tiny.fold"
-        assert set(record["modes"]) == {"vector", "scalar"}
-        assert record["speedup"] is not None
+        assert set(record["modes"]) == {"vector"}
+        assert record["speedup"] is None
         for stats in record["modes"].values():
             assert stats["p10_s"] <= stats["median_s"] <= stats["p90_s"]
             assert stats["throughput_items_per_s"] > 0
@@ -363,6 +330,19 @@ class TestHarness:
         lines, regressions = compare_reports(report, baseline, threshold=1.25)
         assert not regressions
         assert any("no baseline" in line for line in lines)
+
+    def test_compare_ignores_retired_scalar_mode(self):
+        # Baselines recorded before benches were timed once also carry a
+        # "scalar" mode and a speedup; the comparison only reads shared modes.
+        registry = _tiny_registry()
+        report = run_benchmarks(registry.specs(), quick=True)
+        baseline = json.loads(json.dumps(report))
+        for record in baseline["benchmarks"]:
+            record["modes"]["scalar"] = dict(record["modes"]["vector"], median_s=1e-9)
+            record["speedup"] = 42.0
+        lines, regressions = compare_reports(report, baseline, threshold=1.25)
+        assert not regressions
+        assert not any("/scalar" in line for line in lines)
 
     def test_compare_rejects_quick_mode_mismatch(self):
         registry = _tiny_registry()
@@ -451,14 +431,6 @@ class TestBenchCli:
         with open(path, "r", encoding="utf-8") as f:
             baseline = json.load(f)
         assert validate_report(baseline) == []
-        speedups = [
-            record["speedup"]
-            for record in baseline["benchmarks"]
-            if record["speedup"] is not None
-        ]
-        # The acceptance bar: at least two vectorized kernels at >= 3x.
-        if vec.HAVE_NUMPY:
-            assert sum(1 for s in speedups if s >= 3.0) >= 2
 
     def test_missing_baseline_is_a_usage_error(self, tmp_path):
         out = tmp_path / "bench.json"

@@ -1098,7 +1098,6 @@ class TestServeLoadBenches:
             "serve.claim_cycle",
             "serve.mixed_load",
         ]
-        assert all(not s.paired for s in BENCH_REGISTRY.select(tags=["serve"]))
 
     def test_submit_batch_bench_quick(self, results_env):
         from repro.perf.harness import run_spec

@@ -1,12 +1,12 @@
-"""Columnar trace batches: round-trip properties and scalar/vector parity.
+"""Columnar trace batches: round-trip properties and oracle parity.
 
 This file is the contract behind the batched replay passes: the object
 API and the columnar :class:`~repro.sim.trace_batch.TraceBatch` view are
-lossless bridges of each other, and every ``repro.vec``-gated batch pass
-produces results identical to its scalar reference — flipping
-``REPRO_NO_VECTORIZE`` can only ever change speed. The cache-layer
-docstrings (:mod:`repro.mem.cache`) point here for the LRU-semantics
-parity guarantee.
+lossless bridges of each other, and every batched pass produces results
+identical to its per-element reference — an oracle in ``tests/oracles/``
+or a per-element production API. The cache-layer docstrings
+(:mod:`repro.mem.cache`) point here for the LRU-semantics parity
+guarantee.
 """
 
 import random
@@ -14,12 +14,14 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import metadata as metadata_oracle
+from oracles import pipeline as pipeline_oracle
+from oracles import traces as traces_oracle
 
-from repro import vec
 from repro.cpu.metadata_model import measure_sgx_metadata
 from repro.cpu.tenanalyzer import TenAnalyzer
 from repro.eval.scenarios import mee_cache_geometry
-from repro.mem.cache import LruCacheCore, SetAssocCache
+from repro.mem.cache import LruCacheCore
 from repro.mem.mee import FunctionalMee
 from repro.npu.config import NpuConfig
 from repro.npu.pipeline import simulate_delayed_pipeline, simulate_granule_pipeline
@@ -46,14 +48,6 @@ access_st = st.builds(
     st.integers(0, 63),
     st.integers(-1, 1 << 20),
 )
-
-
-def _both_modes(run):
-    """Evaluate ``run`` under the normal gate and under the scalar gate."""
-    vectored = run()
-    with vec.scalar_fallback():
-        scalar = run()
-    return vectored, scalar
 
 
 def _bursty_script(seed, windows=8, bursts=60):
@@ -154,9 +148,16 @@ class TestRoundTrip:
     @given(accesses=st.lists(access_st, max_size=64))
     @settings(max_examples=100, deadline=None)
     def test_columnarize_is_mode_independent(self, accesses):
-        vectored, scalar = _both_modes(lambda: TraceBatch.from_accesses(accesses))
-        assert vectored == scalar
-        assert vectored.columns() == scalar.columns()
+        # Columnarizing objects and building from columns give one batch.
+        columns = (
+            [a.vaddr for a in accesses],
+            [list(AccessKind).index(a.kind) for a in accesses],
+            [a.thread for a in accesses],
+            [a.tensor_id for a in accesses],
+        )
+        batch = TraceBatch.from_accesses(accesses)
+        assert batch == TraceBatch.from_columns(*columns)
+        assert batch.columns() == columns
 
     @given(accesses=st.lists(access_st, max_size=64), size=st.integers(1, 16))
     @settings(max_examples=100, deadline=None)
@@ -180,62 +181,55 @@ class TestRoundTrip:
         )
 
 
-# -- scalar/vector parity of the batched replay passes -------------------------
+# -- parity of the batched replay passes with their references --------------
+
+
+def _replay_per_access(analyzer, vaddrs, kinds):
+    """The per-access dataflow ``replay_window`` must reproduce."""
+    return [
+        analyzer.on_read_va(vaddr).vn if kind == KIND_READ else analyzer.on_write_va(vaddr).vn
+        for vaddr, kind in zip(map(int, vaddrs), map(int, kinds))
+    ]
 
 
 class TestModeParity:
-    def test_cache_access_many_matches_scalar_access(self):
-        rng = random.Random(7)
-        addrs = [rng.randrange(256) * LINE for _ in range(2000)]
-
-        def run():
-            cache = SetAssocCache(capacity_bytes=4 * KiB, ways=2)
-            hits = cache.access_many(addrs)
-            hits += cache.access_many(addrs[::-1], write=True)
-            return hits, cache.stats.as_dict()
-
-        (vec_hits, vec_stats), (sca_hits, sca_stats) = _both_modes(run)
-        assert vec_hits == sca_hits
-        assert vec_stats == sca_stats
-
     def test_lru_core_matches_set_assoc_semantics(self):
         rng = random.Random(11)
-        cache = SetAssocCache(capacity_bytes=4 * KiB, ways=2)
+        cache = metadata_oracle.SetAssocLru(capacity_bytes=4 * KiB, ways=2)
         core = LruCacheCore.for_cache(4 * KiB, ways=2)
         assert core.n_sets == cache.n_sets and core.ways == cache.ways
         for _ in range(5000):
             line = rng.randrange(256)
             write = rng.random() < 0.3
-            with vec.scalar_fallback():
-                expect = cache.access(line * LINE, write=write)
-            assert core.touch(line, write=write) is expect
-        assert core.hits == cache.stats["hits"]
-        assert core.misses == cache.stats["misses"]
-        assert core.evictions == cache.stats["evictions"]
-        assert core.writebacks == cache.stats["writebacks"]
+            assert core.touch(line, write=write) is cache.access(line * LINE, write=write)
+        assert core.hits == cache.hits
+        assert core.misses == cache.misses
+        assert core.evictions == cache.evictions
+        assert core.writebacks == cache.writebacks
+        assert core.flush() == cache.flush()
 
     def test_sgx_metadata_parity(self):
-        vectored, scalar = _both_modes(lambda: measure_sgx_metadata(64 * MiB, sample_lines=4000))
-        assert vectored == scalar
+        for kwargs in ({}, {"streams": 3, "write_fraction": 0.2}):
+            expected = metadata_oracle.measure_sgx_metadata(64 * MiB, sample_lines=4000, **kwargs)
+            assert measure_sgx_metadata(64 * MiB, sample_lines=4000, **kwargs) == expected
 
     def test_mee_geometry_parity(self):
-        vectored, scalar = _both_modes(
-            lambda: mee_cache_geometry(tensors=12, lines_per_tensor=16, iterations=2)
-        )
-        assert vectored == scalar
+        # 5 KiB / 2-way has 40 sets: unlike a power-of-two set count, it
+        # maps each kind's key region to sets that depend on KEY_SHIFT.
+        for kwargs in ({}, {"capacity_kib": 1, "ways": 2}, {"capacity_kib": 5, "ways": 2}):
+            geometry = dict(tensors=12, lines_per_tensor=16, iterations=2, **kwargs)
+            expected = metadata_oracle.mee_cache_geometry(**geometry)
+            assert mee_cache_geometry(**geometry) == expected
 
     def test_pipeline_timing_parity(self):
-        config = NpuConfig()
-        per_line = LINE / config.dram.effective_stream_bw
-
-        def run():
-            return (
-                simulate_granule_pipeline(config, 2 * MiB, 4096, 0.9 * per_line),
-                simulate_delayed_pipeline(config, 2 * MiB, 0.9 * per_line),
-            )
-
-        vectored, scalar = _both_modes(run)
-        assert vectored == scalar  # PipelineResult floats must match bit-for-bit
+        config, size = NpuConfig(), 2 * MiB
+        compute = 0.9 * LINE / config.dram.effective_stream_bw
+        # PipelineResult floats must match bit-for-bit.
+        for granule in (64, 4096):
+            expected = pipeline_oracle.simulate_granule_pipeline(config, size, granule, compute)
+            assert simulate_granule_pipeline(config, size, granule, compute) == expected
+        expected = pipeline_oracle.simulate_delayed_pipeline(config, size, compute)
+        assert simulate_delayed_pipeline(config, size, compute) == expected
 
     def test_mee_batch_walk_matches_per_line_loop(self):
         rng = random.Random(3)
@@ -274,20 +268,17 @@ class TestModeParity:
             AdamTraceConfig(threads=4, seed=99),
         )
 
-        def run():
-            registry = TensorRegistry(alignment=4 * KiB, guard_bytes=256 * KiB)
-            groups = build_adam_groups(registry, n_layers=3, lines_per_tensor=32)
-            rng = random.Random(99)
-            return [(adam_iteration_batch(groups, c, rng), rng.getstate()) for c in configs]
-
-        vectored, scalar = _both_modes(run)
-        for (vec_batch, vec_rng), (sca_batch, sca_rng) in zip(vectored, scalar):
-            assert vec_batch == sca_batch
-            assert vec_rng == sca_rng  # identical skew-RNG consumption
+        registry = TensorRegistry(alignment=4 * KiB, guard_bytes=256 * KiB)
+        groups = build_adam_groups(registry, n_layers=3, lines_per_tensor=32)
+        rng, reference_rng = random.Random(99), random.Random(99)
+        for config in configs:
+            expected = traces_oracle.adam_iteration_objects(groups, config, reference_rng)
+            assert adam_iteration_batch(groups, config, rng) == TraceBatch.from_accesses(expected)
+            assert rng.getstate() == reference_rng.getstate()  # identical skew-RNG consumption
 
     @pytest.mark.parametrize("capacity, replacement, stride_detect, enabled", REPLAY_CONFIGS)
     def test_tenanalyzer_replay_parity(self, capacity, replacement, stride_detect, enabled):
-        def run():
+        def run(replay):
             analyzer = TenAnalyzer(capacity=capacity, stride_detect=stride_detect, enabled=enabled)
             analyzer.table.replacement = replacement
             vns = []
@@ -297,21 +288,19 @@ class TestModeParity:
                 elif step[0] == "poke":
                     analyzer.vn_store.set(*step[1:])
                 else:
-                    vns.append(analyzer.replay_window(*step[1:]))
+                    vns.append(replay(analyzer, *step[1:]))
                 _assert_index_exact(analyzer.table)
             return vns, _analyzer_state(analyzer)
 
-        (vec_vns, vec_state), (sca_vns, sca_state) = _both_modes(run)
-        assert vec_vns == sca_vns
-        for key in sca_state:
-            assert vec_state[key] == sca_state[key], key
+        batch_vns, batch_state = run(TenAnalyzer.replay_window)
+        ref_vns, ref_state = run(_replay_per_access)
+        assert batch_vns == ref_vns
+        for key in ref_state:
+            assert batch_state[key] == ref_state[key], key
 
     def test_gemm_generator_parity(self):
-        def run():
-            registry = TensorRegistry(alignment=4 * KiB, guard_bytes=256 * KiB)
-            config = GemmConfig(m=64, n=64, k=64, tile_m=32, tile_n=32, tile_k=32)
-            a, b, c = build_gemm_tensors(registry, config)
-            return gemm_batch(a, b, c, config)
-
-        vec_batch, sca_batch = _both_modes(run)
-        assert vec_batch == sca_batch
+        registry = TensorRegistry(alignment=4 * KiB, guard_bytes=256 * KiB)
+        config = GemmConfig(m=64, n=64, k=64, tile_m=32, tile_n=32, tile_k=32)
+        a, b, c = build_gemm_tensors(registry, config)
+        expected = traces_oracle.gemm_objects(a, b, c, config, thread=2)
+        assert gemm_batch(a, b, c, config, thread=2) == TraceBatch.from_accesses(expected)
