@@ -13,7 +13,9 @@ keep their original closed-form arithmetic behind the
 bit-identical to the legacy API. Derived views (:meth:`view`,
 :meth:`slice_`, :meth:`select`, :meth:`transpose`, :meth:`channels_last`)
 share the parent's storage, ``tensor_id`` and role; their line streams
-come from the geometry walk (distinct lines, first-touch order).
+come from the geometry walk (distinct lines, first-touch order). 2D tile
+rows are the exception: :meth:`TensorDesc.tile_row_lines` is one closed
+form over any geometry, contiguous or not.
 
 **Span semantics are line-granular**: a tensor owns whole cachelines, so
 ``end_va`` is the line-rounded end of coverage and ``contains`` agrees
@@ -217,25 +219,30 @@ class TensorDesc:
 
         ``row`` is the absolute row index and the segment spans elements
         ``[col0, col0 + tile_cols)``; the element walk follows the view's
-        strides (row-major contiguity is just the default geometry).
+        strides (row-major contiguity is just the default geometry). One
+        closed form serves every 2D geometry: a column step under one line
+        covers every line from the first element's to the last one's, and
+        a longer step puts each element on its own line. Either way the
+        lines are distinct and ascending, exactly the first-touch order of
+        :meth:`TensorGeometry.line_addresses` over the segment.
         """
         if len(self.shape) != 2:
             raise ConfigError(f"{self.name}: tile iteration needs a 2D tensor")
-        n_cols = self.shape[1]
-        if not (0 <= row < self.shape[0] and 0 <= col0 and col0 + tile_cols <= n_cols):
+        if tile_cols <= 0:
+            raise ConfigError(f"{self.name}: tile segment needs tile_cols > 0, got {tile_cols}")
+        n_rows, n_cols = self.shape
+        if not (0 <= row < n_rows and 0 <= col0 and col0 + tile_cols <= n_cols):
             raise ConfigError(f"{self.name}: tile segment out of bounds")
-        if self.is_contiguous():
-            start = self.base_va + (row * n_cols + col0) * self.dtype.nbytes
-            end = start + tile_cols * self.dtype.nbytes
-            first = start - (start % CACHELINE_BYTES)
-            lines = []
-            addr = first
-            while addr < end:
-                lines.append(addr)
-                addr += CACHELINE_BYTES
-            return lines
-        segment = self.geometry.slice_(0, row, row + 1).slice_(1, col0, col0 + tile_cols)
-        return segment.line_addresses(self.base_va)
+        row_stride, col_stride = self.strides or (n_cols, 1)
+        esize = self.dtype.nbytes
+        start = self.base_va + esize * (self.storage_offset + row * row_stride + col0 * col_stride)
+        step = col_stride * esize
+        if step < CACHELINE_BYTES:
+            end = start + (tile_cols - 1) * step + esize
+            return list(range(start - start % CACHELINE_BYTES, end, CACHELINE_BYTES))
+        return [
+            byte - byte % CACHELINE_BYTES for byte in range(start, start + tile_cols * step, step)
+        ]
 
     @property
     def row_stride_bytes(self) -> int:

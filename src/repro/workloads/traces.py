@@ -320,6 +320,14 @@ def adam_iteration_trace(
 # -- tiled GEMM -------------------------------------------------------------
 
 
+def _require_positive(config: Any, fields: Sequence[str]) -> None:
+    """Reject a tiled-walk config whose named size is zero or negative."""
+    for name in fields:
+        value = getattr(config, name)
+        if value <= 0:
+            raise ConfigError(f"{type(config).__name__}.{name} must be positive, got {value}")
+
+
 @dataclass
 class GemmConfig:
     """C[M,N] += A[M,K] @ B[K,N] with (tile_m, tile_n, tile_k) tiling."""
@@ -333,6 +341,7 @@ class GemmConfig:
     dtype: DType = DType.FP32
 
     def __post_init__(self) -> None:
+        _require_positive(self, ("m", "n", "k", "tile_m", "tile_n", "tile_k"))
         for total, tile, label in (
             (self.m, self.tile_m, "m"),
             (self.n, self.tile_n, "n"),
@@ -420,6 +429,7 @@ class AttentionConfig:
     dtype: DType = DType.FP32
 
     def __post_init__(self) -> None:
+        _require_positive(self, ("n_heads", "seq_len", "head_dim", "block_q", "block_k"))
         for total, block, label in (
             (self.seq_len, self.block_q, "block_q"),
             (self.seq_len, self.block_k, "block_k"),
@@ -508,36 +518,41 @@ def _attention_head_bursts(head: AttentionHead, config: AttentionConfig) -> List
     Per query block: one burst reading the Q rows, then one burst per key
     block reading the K and V rows and read-modify-writing the O rows
     (the online-softmax rescale). Line enumeration follows each view's
-    strides via :meth:`TensorDesc.tile_row_lines`.
+    strides via :meth:`TensorDesc.tile_row_lines`; each row block's
+    distinct lines (first-touch order) are enumerated once and every
+    burst that re-reads the block extends from that one list.
     """
     d = config.head_dim
 
-    def emit_rows(burst: _Burst, view: TensorDesc, row0: int, rows: int, code: int) -> None:
-        vaddr, kind, tensor_id = burst
-        seen_rows = set()
-        for r in range(row0, row0 + rows):
-            lines = view.tile_row_lines(r, 0, d)
-            fresh = [a for a in lines if a not in seen_rows]
-            seen_rows.update(fresh)
-            vaddr.extend(fresh)
-            kind.extend([code] * len(fresh))
-            tensor_id.extend([view.tensor_id] * len(fresh))
+    def block_lines(view: TensorDesc, rows: int) -> List[List[int]]:
+        blocks = []
+        for row0 in range(0, config.seq_len, rows):
+            lines: Dict[int, None] = {}
+            for r in range(row0, row0 + rows):
+                lines.update(dict.fromkeys(view.tile_row_lines(r, 0, d)))
+            blocks.append(list(lines))
+        return blocks
 
+    q_blocks = block_lines(head.q, config.block_q)
+    o_blocks = block_lines(head.o, config.block_q)
+    k_blocks = block_lines(head.k, config.block_k)
+    v_blocks = block_lines(head.v, config.block_k)
     bursts: List[_Burst] = []
-    for q0 in range(0, config.seq_len, config.block_q):
-        q_burst: _Burst = ([], [], [])
-        emit_rows(q_burst, head.q, q0, config.block_q, KIND_READ)
-        bursts.append(q_burst)
-        for k0 in range(0, config.seq_len, config.block_k):
-            kv_burst: _Burst = ([], [], [])
-            emit_rows(kv_burst, head.k, k0, config.block_k, KIND_READ)
-            emit_rows(kv_burst, head.v, k0, config.block_k, KIND_READ)
+    for q_lines, o_lines in zip(q_blocks, o_blocks):
+        bursts.append((q_lines, [KIND_READ] * len(q_lines), [head.q.tensor_id] * len(q_lines)))
+        for k_lines, v_lines in zip(k_blocks, v_blocks):
             # Rescale: the O block is re-read and re-written every key
             # block — within one logical update round, so a covering Meta
             # Table entry sees the same line written twice (Assert1).
-            emit_rows(kv_burst, head.o, q0, config.block_q, KIND_READ)
-            emit_rows(kv_burst, head.o, q0, config.block_q, KIND_WRITE)
-            bursts.append(kv_burst)
+            vaddr = k_lines + v_lines + o_lines + o_lines
+            n_reads = len(vaddr) - len(o_lines)
+            kind = [KIND_READ] * n_reads + [KIND_WRITE] * len(o_lines)
+            tensor_id = (
+                [head.k.tensor_id] * len(k_lines)
+                + [head.v.tensor_id] * len(v_lines)
+                + [head.o.tensor_id] * (2 * len(o_lines))
+            )
+            bursts.append((vaddr, kind, tensor_id))
     return bursts
 
 

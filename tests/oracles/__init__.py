@@ -10,7 +10,8 @@ them bit for bit:
   independent of :class:`repro.mem.cache.LruCacheCore`, the metadata cache
   over synthetic byte addresses, and the SGX sampler and MEE-geometry loops
   over it;
-- :mod:`oracles.traces` — the per-access Adam and tiled-GEMM generators;
+- :mod:`oracles.traces` — the per-access Adam, tiled-GEMM and blockwise
+  attention generators;
 - :mod:`oracles.pipeline` — the event-driven Fig. 13 pipeline timing;
 - :mod:`oracles.streams` — the serial tensor-condition scan.
 

@@ -1,4 +1,4 @@
-"""Per-access references of the columnar Adam and tiled-GEMM generators."""
+"""Per-access references of the columnar Adam, tiled-GEMM and attention generators."""
 
 from __future__ import annotations
 
@@ -7,7 +7,13 @@ from typing import List, Sequence
 
 from repro.sim.trace import AccessKind, MemAccess
 from repro.tensor.tensor import TensorDesc
-from repro.workloads.traces import AdamGroup, AdamTraceConfig, GemmConfig
+from repro.workloads.traces import (
+    AdamGroup,
+    AdamTraceConfig,
+    AttentionConfig,
+    AttentionTensors,
+    GemmConfig,
+)
 
 
 def thread_layer_stream(
@@ -118,4 +124,53 @@ def gemm_objects(
                 emit_rows(b, k0, j0, config.tile_k, config.tile_n, AccessKind.READ)
             emit_rows(c, i0, j0, config.tile_m, config.tile_n, AccessKind.READ)
             emit_rows(c, i0, j0, config.tile_m, config.tile_n, AccessKind.WRITE)
+    return trace
+
+
+def attention_objects(tensors: AttentionTensors, config: AttentionConfig) -> List[MemAccess]:
+    """Reference of :func:`repro.workloads.traces.attention_batch`.
+
+    Row by row: every burst walks each whole row it reads through the
+    view's strided geometry and dedupes the block's lines as it goes, so
+    a K/V block is enumerated again for every query block and an O block
+    for every key block. Head ``h`` is thread ``h``; the controller sees
+    one burst per head in turn.
+    """
+
+    def emit_rows(
+        burst: List[MemAccess],
+        view: TensorDesc,
+        row0: int,
+        rows: int,
+        kind: AccessKind,
+        thread: int,
+    ) -> None:
+        geometry = view.geometry
+        seen = set()
+        for r in range(row0, row0 + rows):
+            for addr in geometry.slice_(0, r, r + 1).line_addresses(view.base_va):
+                if addr not in seen:
+                    seen.add(addr)
+                    burst.append(MemAccess(addr, kind, thread, view.tensor_id))
+
+    per_head: List[List[List[MemAccess]]] = []
+    for thread, head in enumerate(tensors.heads):
+        bursts: List[List[MemAccess]] = []
+        for q0 in range(0, config.seq_len, config.block_q):
+            q_burst: List[MemAccess] = []
+            emit_rows(q_burst, head.q, q0, config.block_q, AccessKind.READ, thread)
+            bursts.append(q_burst)
+            for k0 in range(0, config.seq_len, config.block_k):
+                kv_burst: List[MemAccess] = []
+                emit_rows(kv_burst, head.k, k0, config.block_k, AccessKind.READ, thread)
+                emit_rows(kv_burst, head.v, k0, config.block_k, AccessKind.READ, thread)
+                emit_rows(kv_burst, head.o, q0, config.block_q, AccessKind.READ, thread)
+                emit_rows(kv_burst, head.o, q0, config.block_q, AccessKind.WRITE, thread)
+                bursts.append(kv_burst)
+        per_head.append(bursts)
+    trace: List[MemAccess] = []
+    for turn in range(max(len(bursts) for bursts in per_head)):
+        for bursts in per_head:
+            if turn < len(bursts):
+                trace.extend(bursts[turn])
     return trace

@@ -398,6 +398,24 @@ class TestScenarioExperiments:
         with pytest.raises(ConfigError, match="unknown policy"):
             REGISTRY.get("mac_policy").func(policy="lazy")
 
+    @pytest.mark.parametrize("param, value", [("block_q", 0), ("block_k", -32), ("block_q", -32)])
+    def test_attention_layout_bad_block_rejected(self, param, value):
+        with pytest.raises(ConfigError, match=f"AttentionConfig.{param} must be positive"):
+            REGISTRY.get("attention_layout").func(n_heads=1, seq_len=64, **{param: value})
+
+    def test_attention_sweep_base_bad_block_fails_point(self, results_env):
+        raw = {
+            "name": "attn_bad_block",
+            "experiment": "attention_layout",
+            "base": {"n_heads": 1, "seq_len": 64, "block_k": -32},
+            "axes": [{"param": "head_dim", "values": [16]}],
+        }
+        result = run_sweep(spec_from_dict(raw), jobs=1, verbose=False, write=False)
+        [record] = result.point_records()
+        assert record["status"] == "failed"
+        assert record["error_type"] == "ConfigError"
+        assert "AttentionConfig.block_k must be positive, got -32" in record["error"]
+
     @pytest.mark.slow
     def test_scale_npu_pipeline_batch_effect(self):
         run = REGISTRY.get("scale_npu_pipeline").func

@@ -43,6 +43,13 @@ class TestTensorDesc:
         t = TensorDesc("m", 0, (8, 32), DType.FP32)
         with pytest.raises(ConfigError):
             t.tile_row_lines(8, 0, 16)
+        # Empty and negative segments are rejected on every geometry.
+        contiguous = TensorDesc("c", 0, (8, 40), DType.FP32)
+        strided = TensorDesc("s", 0, (8, 120), DType.FP32).slice_(1, 0, 120, 3)
+        for view in (contiguous, strided):
+            for col0, tile_cols in ((3, 0), (5, -2)):
+                with pytest.raises(ConfigError, match="tile_cols > 0"):
+                    view.tile_row_lines(1, col0, tile_cols)
 
     def test_unaligned_base_rejected(self):
         with pytest.raises(ConfigError):

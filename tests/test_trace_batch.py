@@ -9,6 +9,7 @@ or a per-element production API. The cache-layer docstrings
 guarantee.
 """
 
+import itertools
 import random
 
 import pytest
@@ -27,13 +28,18 @@ from repro.npu.config import NpuConfig
 from repro.npu.pipeline import simulate_delayed_pipeline, simulate_granule_pipeline
 from repro.sim.trace import AccessKind, MemAccess, interleave_round_robin
 from repro.sim.trace_batch import KIND_INST, KIND_READ, KIND_WRITE, TraceBatch
+from repro.tensor.dtype import DType
 from repro.tensor.registry import TensorRegistry
-from repro.units import CACHELINE_BYTES, KiB, MiB
+from repro.tensor.tensor import TensorDesc
+from repro.units import CACHELINE_BYTES, PAGE_BYTES, KiB, MiB
 from repro.workloads.traces import (
     AdamTraceConfig,
+    AttentionConfig,
     GemmConfig,
     adam_iteration_batch,
+    attention_batch,
     build_adam_groups,
+    build_attention_tensors,
     build_gemm_tensors,
     gemm_batch,
 )
@@ -99,6 +105,34 @@ REPLAY_CONFIGS = [
     for stride_detect in (False, True)
 ]
 REPLAY_CONFIGS.append((512, "random", False, False))
+
+
+#: (seq_len, block_q, block_k) of the attention parity cases.
+ATTENTION_SHAPES = [(128, 32, 32), (96, 32, 48), (64, 16, 32)]
+
+
+def _tile_views(dtype):
+    """Small 2D views of every stride pattern ``tile_row_lines`` serves."""
+    grid = TensorDesc("grid", 0x10000, (12, 40), dtype)
+    cube = TensorDesc("cube", 0x20000, (3, 6, 20), dtype)
+    line_elems = LINE // dtype.nbytes
+    return (
+        grid.slice_(0, 0, 6),  # contiguous
+        grid.slice_(0, 5, 11),  # dense rows from a storage offset
+        grid.slice_(1, 5, 29),  # interleaved per-head column band
+        grid.slice_(0, 1, 12, 2).slice_(1, 3, 40, 3),  # stepped rows and columns
+        grid.slice_(0, 0, 12, 5).slice_(1, 1, 40, line_elems - 1),  # step just under a line
+        grid.slice_(0, 2, 12, 4).slice_(1, 0, 40, line_elems + 1),  # step just over a line
+        grid.transpose().slice_(0, 0, 40, 7),  # transposed: column-major walk
+        cube.select(0, 1),  # head-major per-head view
+        cube.select(1, 4),  # rows strided by a whole plane
+        cube.select(2, 7),  # columns strided by a whole row
+        TensorDesc("overlap", 0x30000, (6, 16), dtype, strides=(3, 1)),
+        TensorDesc("padded", 0x40000, (5, 9), dtype, strides=(50, 2), storage_offset=7),
+        TensorDesc(
+            "one_line_step", 0x50000, (4, 6), dtype, strides=(200, line_elems), storage_offset=3
+        ),
+    )
 
 
 def _assert_index_exact(table):
@@ -297,6 +331,35 @@ class TestModeParity:
         assert batch_vns == ref_vns
         for key in ref_state:
             assert batch_state[key] == ref_state[key], key
+
+    @pytest.mark.parametrize("dtype", list(DType))
+    def test_tile_row_lines_match_geometry_walk(self, dtype):
+        for view in _tile_views(dtype):
+            n_rows, n_cols = view.shape
+            for r in range(n_rows):
+                row = view.geometry.slice_(0, r, r + 1)
+                for c0 in range(n_cols):
+                    for n in range(1, n_cols - c0 + 1):
+                        expected = row.slice_(1, c0, c0 + n).line_addresses(view.base_va)
+                        assert view.tile_row_lines(r, c0, n) == expected, (view.name, r, c0, n)
+
+    @pytest.mark.parametrize("seq_len, block_q, block_k", ATTENTION_SHAPES)
+    @pytest.mark.parametrize("layout", ["head_major", "interleaved"])
+    def test_attention_generator_parity(self, layout, seq_len, block_q, block_k):
+        # Head dims under one line's worth of elements put several rows on
+        # one line, so each block's dedupe matters.
+        for head_dim, n_heads in itertools.product((1, 3, 8, 15, 16, 17, 32, 64, 100), (1, 3)):
+            config = AttentionConfig(
+                n_heads=n_heads,
+                seq_len=seq_len,
+                head_dim=head_dim,
+                block_q=block_q,
+                block_k=block_k,
+            )
+            registry = TensorRegistry(guard_bytes=PAGE_BYTES)
+            tensors = build_attention_tensors(registry, config, layout)
+            expected = TraceBatch.from_accesses(traces_oracle.attention_objects(tensors, config))
+            assert attention_batch(tensors, config) == expected, (head_dim, n_heads)
 
     def test_gemm_generator_parity(self):
         registry = TensorRegistry(alignment=4 * KiB, guard_bytes=256 * KiB)

@@ -6,6 +6,7 @@ from repro.errors import ConfigError
 from repro.workloads.models import MODEL_ZOO, model_by_name
 from repro.workloads.traces import (
     AdamTraceConfig,
+    AttentionConfig,
     GemmConfig,
     adam_iteration_trace,
     build_adam_groups,
@@ -144,3 +145,21 @@ class TestGemmTrace:
     def test_indivisible_tiles_rejected(self):
         with pytest.raises(ConfigError):
             GemmConfig(m=100, n=128, k=128, tile_m=32, tile_n=32, tile_k=32)
+
+    @pytest.mark.parametrize("field", ["m", "n", "k", "tile_m", "tile_n", "tile_k"])
+    @pytest.mark.parametrize("value", [0, -16])
+    def test_non_positive_sizes_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"GemmConfig.{field} must be positive"):
+            GemmConfig(**{field: value})
+
+
+class TestAttentionConfig:
+    @pytest.mark.parametrize("field", ["n_heads", "seq_len", "head_dim", "block_q", "block_k"])
+    @pytest.mark.parametrize("value", [0, -32])
+    def test_non_positive_sizes_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"AttentionConfig.{field} must be positive"):
+            AttentionConfig(**{field: value})
+
+    def test_indivisible_blocks_rejected(self):
+        with pytest.raises(ConfigError, match="not divisible by block_k"):
+            AttentionConfig(seq_len=128, block_k=48)
