@@ -26,6 +26,8 @@ VNS_PER_LINE = 8
 MACS_PER_LINE = 8
 #: Merkle tree arity (8-ary, Table 1 baseline).
 TREE_ARITY = 8
+#: Slots per block of precomputed sampler columns (bounds their memory).
+SLOT_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -78,6 +80,8 @@ def measure_sgx_metadata(
         raise ConfigError("protected region smaller than one cacheline")
     if streams <= 0:
         raise ConfigError(f"streams must be positive, got {streams}")
+    if not 0 <= write_fraction <= 1:
+        raise ConfigError(f"write fraction must be within [0, 1], got {write_fraction}")
     levels = tree_levels(protected_lines)
     # Interleave `streams` sequential walks, spread across the region. The
     # stride is de-aliased (odd offset per stream) — real shard bases are
@@ -86,53 +90,81 @@ def measure_sgx_metadata(
     stride = max(1, protected_lines // streams)
     per_stream = max(1, sample_lines // streams)
     writes_every = max(2, round(1.0 / max(write_fraction, 1e-6)))
-
-    # Interleave-order address grid: position-major, stream-minor.
-    pos = np.arange(per_stream, dtype=np.int64)[:, None]
-    stream = np.arange(streams, dtype=np.int64)[None, :]
-    line = (stream * stride + stream * 137 + pos) % protected_lines
-    vn_lines = (line // VNS_PER_LINE).ravel().tolist()
-    mac_lines = (line // MACS_PER_LINE).ravel().tolist()
+    stream_base = np.arange(streams, dtype=np.int64) * (stride + 137)
 
     core = LruCacheCore.for_cache(metadata_cache_bytes, ways=8)
     sets = core.sets
     n_sets = core.n_sets
     ways = core.ways
+    set_objects = np.array(sets, dtype=object)
     tree_base = [TREE_BASE + (level << KEY_SHIFT) for level in range(levels + 1)]
     tree_write_base = tree_base[1]
 
-    # The LRU replay cannot vectorize (each access depends on the state the
-    # previous one left) and is the single hottest path of the whole repro
-    # run (the Fig. 3/16/19 SGX baselines stream ~0.5M cache touches per
-    # call), so the LruCacheCore.touch body is inlined at each touch site:
-    # a dict pop + reinsert is move-to-end, next(iter(d)) is the LRU victim.
-    hits = 0
+    # The LRU replay cannot vectorize (each touch depends on the state the
+    # previous one left), so the LruCacheCore.touch body is inlined at each
+    # touch site: a dict pop + reinsert is move-to-end, next(iter(d)) is the
+    # LRU victim. Only misses are counted: every touch hits or misses, so
+    # the hits follow from the touch count at the end.
+    #
+    # A slot is one stream at one position. Most slots re-touch the VN line
+    # V and MAC line M of the stream's previous slot. When V and M share a
+    # set whose two most-recently-used tags are V then M, the slot's touches
+    # of V and M (read V, read M and, on write positions, write V, write M)
+    # all hit and leave that order as it was; only the dirty bits can change,
+    # and assigning to an existing dict key keeps its position. Such a steady
+    # slot sets those bits in place and skips the touches. T1, the first-level
+    # tree line a write dirties, is touched as in every other slot. No cache
+    # geometry is assumed: when V and M fall in different sets, the skip
+    # never fires.
     misses = 0
     writebacks = 0
     read_txns = 0
     write_misses = 0
     dependent = 0
-    writes = 0
-    i = 0
-    for position in range(per_stream):
-        is_write_position = position % writes_every == 0
-        for _ in range(streams):
-            vn_line = vn_lines[i]
-            mac_line = mac_lines[i]
-            i += 1
+    # Per-slot columns, built one block of positions at a time, in interleave
+    # order: position-major, stream-minor.
+    block = max(1, SLOT_BLOCK // streams)
+    for first in range(0, per_stream, block):
+        pos = np.arange(first, min(first + block, per_stream), dtype=np.int64)
+        line = ((pos[:, None] + stream_base) % protected_lines).ravel()
+        vn = line // VNS_PER_LINE
+        mac = MAC_BASE + line // MACS_PER_LINE
+        t1 = tree_write_base + vn // TREE_ARITY
+        columns = zip(
+            set_objects[vn % n_sets].tolist(),
+            (vn // n_sets).tolist(),
+            set_objects[mac % n_sets].tolist(),
+            (mac // n_sets).tolist(),
+            set_objects[t1 % n_sets].tolist(),
+            (t1 // n_sets).tolist(),
+            vn.tolist(),
+            np.repeat(pos % writes_every == 0, streams).tolist(),
+        )
+        for vn_set, vn_tag, mac_set, mac_tag, t1_set, t1_tag, vn_line, is_write in columns:
+            if vn_set is mac_set:
+                recent = reversed(vn_set)
+                if next(recent, None) == mac_tag and next(recent, None) == vn_tag:
+                    if is_write:
+                        vn_set[vn_tag] = True
+                        vn_set[mac_tag] = True
+                        if t1_set.pop(t1_tag, None) is None:
+                            misses += 1
+                            write_misses += 1
+                            if len(t1_set) >= ways:
+                                if t1_set.pop(next(iter(t1_set))):
+                                    writebacks += 1
+                        t1_set[t1_tag] = True
+                    continue
             # VN read.
-            cache_set = sets[vn_line % n_sets]
-            tag = vn_line // n_sets
-            dirty = cache_set.pop(tag, None)
+            dirty = vn_set.pop(vn_tag, None)
             if dirty is not None:
-                cache_set[tag] = dirty
-                hits += 1
+                vn_set[vn_tag] = dirty
             else:
                 misses += 1
-                if len(cache_set) >= ways:
-                    if cache_set.pop(next(iter(cache_set))):
+                if len(vn_set) >= ways:
+                    if vn_set.pop(next(iter(vn_set))):
                         writebacks += 1
-                cache_set[tag] = False
+                vn_set[vn_tag] = False
                 read_txns += 1
                 # Walk the tree until a cached (already-verified) node.
                 node = vn_line
@@ -145,7 +177,6 @@ def measure_sgx_metadata(
                     dirty = cache_set.pop(tag, None)
                     if dirty is not None:
                         cache_set[tag] = dirty
-                        hits += 1
                         break
                     misses += 1
                     if len(cache_set) >= ways:
@@ -154,43 +185,34 @@ def measure_sgx_metadata(
                     cache_set[tag] = False
                     read_txns += 1
             # MAC read.
-            key = MAC_BASE + mac_line
-            cache_set = sets[key % n_sets]
-            tag = key // n_sets
-            dirty = cache_set.pop(tag, None)
+            dirty = mac_set.pop(mac_tag, None)
             if dirty is not None:
-                cache_set[tag] = dirty
-                hits += 1
+                mac_set[mac_tag] = dirty
             else:
                 misses += 1
-                if len(cache_set) >= ways:
-                    if cache_set.pop(next(iter(cache_set))):
+                if len(mac_set) >= ways:
+                    if mac_set.pop(next(iter(mac_set))):
                         writebacks += 1
-                cache_set[tag] = False
+                mac_set[mac_tag] = False
                 read_txns += 1
-            if is_write_position:
-                writes += 1
+            if is_write:
                 # Read-modify-write VN / MAC / first tree level: only fetch
                 # misses count here; dirtied lines are written back when
                 # evicted or flushed (8 neighbouring VNs share one line).
-                for key in (vn_line, MAC_BASE + mac_line, tree_write_base + vn_line // TREE_ARITY):
-                    cache_set = sets[key % n_sets]
-                    tag = key // n_sets
-                    dirty = cache_set.pop(tag, None)
-                    if dirty is not None:
-                        cache_set[tag] = True
-                        hits += 1
-                    else:
+                for cache_set, tag in ((vn_set, vn_tag), (mac_set, mac_tag), (t1_set, t1_tag)):
+                    if cache_set.pop(tag, None) is None:
                         misses += 1
+                        write_misses += 1
                         if len(cache_set) >= ways:
                             if cache_set.pop(next(iter(cache_set))):
                                 writebacks += 1
-                        cache_set[tag] = True
-                        write_misses += 1
+                    cache_set[tag] = True
     reads = per_stream * streams
+    writes = streams * -(-per_stream // writes_every)
     writebacks_total = writebacks + core.flush()
     write_txns = write_misses + writebacks_total
-    total = hits + misses
+    total = 2 * reads + 3 * writes + dependent
+    hits = total - misses
     return MetaTraffic(
         read_txns_per_line=read_txns / max(1, reads),
         write_txns_per_line=write_txns / max(1, writes),

@@ -8,9 +8,12 @@ LRU replacement cannot be expressed as an array program — every access
 depends on the state the previous access left behind — so the replay
 loops (``cpu/metadata_model.py``, ``eval/scenarios.py``) win by stripping
 per-access overhead: flat per-set ``dict`` state, plain-``int`` counters,
-no per-line objects, one dict operation per touch. Its replacement
-semantics are pinned against an independent ``OrderedDict`` reference in
-``tests/oracles/`` (``tests/test_trace_batch.py``).
+no per-line objects, a pop and a reinsert per touch. The SGX sampler also
+skips touches that cannot reorder a set: when a set's two most recently
+used lines are the two a slot re-touches, in that order, only their dirty
+bits change, and it sets those in place (EXPERIMENTS.md, "SGX sampler
+contract"). Replacement semantics are pinned against an independent
+``OrderedDict`` reference in ``tests/oracles/`` (``tests/test_trace_batch.py``).
 """
 
 from __future__ import annotations

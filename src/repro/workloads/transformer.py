@@ -4,8 +4,9 @@ Builds the concrete tensor set of a model in a :class:`TensorRegistry`:
 the fp32 master weights plus Adam state (momentum, variance) and fp32
 gradients that live in *CPU* host memory under ZeRO-Offload, and the fp16
 weights/activations that live on the NPU. This inventory drives Fig. 4
-(tensor count/size characteristics), the Adam traces, and the per-layer
-communication volumes.
+(tensor count/size characteristics). Its parameter total equals
+``ModelConfig.n_params`` by construction, which is what the ZeRO-Offload
+volumes read.
 """
 
 from __future__ import annotations

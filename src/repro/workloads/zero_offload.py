@@ -18,11 +18,9 @@ the optimizer tail).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 from repro.tensor.dtype import DType
 from repro.workloads.models import ModelConfig
-from repro.workloads.transformer import TransformerInventory
 
 #: Bytes of CPU DRAM traffic per parameter in one Adam step:
 #: reads w32+m+v+g (4 x fp32) and writes w32+m+v (3 x fp32) + w16 out (fp16).
@@ -54,14 +52,18 @@ class IterationVolumes:
 class ZeroOffloadSchedule:
     """Computes stage volumes and per-layer overlap structure for a model."""
 
-    def __init__(self, model: ModelConfig, inventory: TransformerInventory | None = None) -> None:
+    def __init__(self, model: ModelConfig) -> None:
         self.model = model
-        self.inventory = inventory if inventory is not None else TransformerInventory(model)
 
     def volumes(self) -> IterationVolumes:
-        """Work volumes of one training iteration."""
+        """Work volumes of one training iteration.
+
+        ``ModelConfig.n_params`` is the parameter total of the model's
+        :class:`~repro.workloads.transformer.TransformerInventory` by
+        construction, so no tensor inventory is built here.
+        """
         m = self.model
-        n_params = self.inventory.total_params
+        n_params = m.n_params
         # fwd reads weights once, bwd reads them again (recompute-free):
         weight_traffic = 2 * n_params * DType.FP16.nbytes
         # Activations: ~2 bytes/elem, read+write in fwd, read in bwd, for
@@ -73,16 +75,12 @@ class ZeroOffloadSchedule:
             npu_flops=m.fwd_bwd_flops(),
             npu_weight_bytes=weight_traffic,
             npu_activation_bytes=act_traffic,
-            grad_bytes=self.inventory.grad_bytes,
-            weight_bytes=self.inventory.weight_bytes,
+            grad_bytes=n_params * DType.FP32.nbytes,
+            weight_bytes=n_params * DType.FP16.nbytes,
             cpu_adam_bytes=n_params * ADAM_BYTES_PER_PARAM,
             cpu_adam_ops=float(n_params * ADAM_OPS_PER_PARAM),
             n_params=n_params,
         )
-
-    def per_layer_grad_bytes(self) -> List[int]:
-        """Gradient chunks in the order backward produces them."""
-        return self.inventory.layer_grad_bytes()
 
     def overlap_fractions(self) -> tuple[float, float]:
         """(grad_overlap, weight_overlap): fraction of each transfer that can

@@ -38,6 +38,11 @@ class TestMetadataModel:
         with pytest.raises(ConfigError, match="streams must be positive"):
             measure_sgx_metadata(1 * GiB, sample_lines=1000, streams=streams)
 
+    @pytest.mark.parametrize("write_fraction", [-0.5, 1.5, 2.0, float("nan")])
+    def test_write_fraction_outside_unit_interval_is_a_config_error(self, write_fraction):
+        with pytest.raises(ConfigError, match="write fraction must be within"):
+            measure_sgx_metadata(1 * GiB, sample_lines=1000, write_fraction=write_fraction)
+
 
 class TestTimingModel:
     def test_non_secure_scales_with_threads(self, cpu_config):

@@ -19,6 +19,7 @@ from oracles import metadata as metadata_oracle
 from oracles import pipeline as pipeline_oracle
 from oracles import traces as traces_oracle
 
+from repro.cpu import metadata_model
 from repro.cpu.metadata_model import measure_sgx_metadata
 from repro.cpu.tenanalyzer import TenAnalyzer
 from repro.eval.scenarios import mee_cache_geometry
@@ -31,7 +32,7 @@ from repro.sim.trace_batch import KIND_INST, KIND_READ, KIND_WRITE, TraceBatch
 from repro.tensor.dtype import DType
 from repro.tensor.registry import TensorRegistry
 from repro.tensor.tensor import TensorDesc
-from repro.units import CACHELINE_BYTES, PAGE_BYTES, KiB, MiB
+from repro.units import CACHELINE_BYTES, PAGE_BYTES, GiB, KiB, MiB
 from repro.workloads.traces import (
     AdamTraceConfig,
     AttentionConfig,
@@ -218,6 +219,39 @@ class TestRoundTrip:
 # -- parity of the batched replay passes with their references --------------
 
 
+def _sampler_grid(points=40, seed=16):
+    """Seeded ``measure_sgx_metadata`` arguments over every input it has.
+
+    Regions run from one cacheline, which every stream wraps onto, to
+    beyond 100 GiB (a ten-level tree). Caches run from one set to 80; 10
+    and 80 sets are not powers of two, so a stream's VN and MAC lines fall
+    in different sets. Cycling tuples of coprime lengths pairs each cache
+    with every write fraction; the stream count cycles from 1 to 11.
+    """
+    rng = random.Random(seed)
+    regions = (64, 640, 64 * 4001, 64 * MiB + 192, 4 * GiB, 37 * GiB + 320, 101 * GiB)
+    caches = (512, 4 * KiB, 5 * KiB, 32 * KiB, 40 * KiB)
+    fractions = (0, 0.2, 0.45, 1)
+    grid = [
+        (
+            regions[i % len(regions)],
+            dict(
+                sample_lines=rng.randint(1, 4000),
+                write_fraction=fractions[i % len(fractions)],
+                metadata_cache_bytes=caches[i % len(caches)],
+                streams=1 + i % 11,
+            ),
+        )
+        for i in range(points)
+    ]
+    # 11 streams overlap in 656 lines over 80 sets. MAC line v - 32 then
+    # falls in VN line v's set under MAC line v's tag (when v % 80 < 48)
+    # and is often that set's MRU line: a steady-slot check that compared
+    # tags without checking that V and M share a set would fire here.
+    alias = dict(sample_lines=2557, write_fraction=0.2, metadata_cache_bytes=40 * KiB, streams=11)
+    return grid + [(42013, alias)]
+
+
 def _replay_per_access(analyzer, vaddrs, kinds):
     """The per-access dataflow ``replay_window`` must reproduce."""
     return [
@@ -242,10 +276,14 @@ class TestModeParity:
         assert core.writebacks == cache.writebacks
         assert core.flush() == cache.flush()
 
-    def test_sgx_metadata_parity(self):
-        for kwargs in ({}, {"streams": 3, "write_fraction": 0.2}):
-            expected = metadata_oracle.measure_sgx_metadata(64 * MiB, sample_lines=4000, **kwargs)
-            assert measure_sgx_metadata(64 * MiB, sample_lines=4000, **kwargs) == expected
+    def test_sgx_metadata_parity(self, monkeypatch):
+        grid = _sampler_grid()
+        expected = [metadata_oracle.measure_sgx_metadata(size, **kw) for size, kw in grid]
+        assert [measure_sgx_metadata(size, **kw) for size, kw in grid] == expected
+        # 13-slot blocks (1 to 13 positions, by stream count) put a
+        # column-block boundary every few positions of every point.
+        monkeypatch.setattr(metadata_model, "SLOT_BLOCK", 13)
+        assert [measure_sgx_metadata(size, **kw) for size, kw in grid] == expected
 
     def test_mee_geometry_parity(self):
         # 5 KiB / 2-way has 40 sets: unlike a power-of-two set count, it

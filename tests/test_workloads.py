@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.workloads.models import MODEL_ZOO, model_by_name
+from repro.workloads.models import MODEL_ZOO, SCALING_PRESETS, model_by_name, scaled_model
 from repro.workloads.traces import (
     AdamTraceConfig,
     AttentionConfig,
@@ -74,6 +74,23 @@ class TestZeroOffload:
     def test_overlap_fractions_bounded(self):
         g, w = ZeroOffloadSchedule(model_by_name("GPT")).overlap_fractions()
         assert 0 < g < 1 and 0 < w < 1
+
+    @pytest.mark.parametrize(
+        "model",
+        [*MODEL_ZOO, *(scaled_model(preset.name) for preset in SCALING_PRESETS)],
+        ids=lambda m: m.name,
+    )
+    def test_volumes_match_inventory_without_building_one(self, model, monkeypatch):
+        inventory = TransformerInventory(model)
+
+        def no_inventory(*args, **kwargs):
+            raise AssertionError("volumes() built a tensor inventory")
+
+        monkeypatch.setattr(TransformerInventory, "__init__", no_inventory)
+        v = ZeroOffloadSchedule(model).volumes()
+        assert v.n_params == inventory.total_params
+        assert v.grad_bytes == inventory.grad_bytes
+        assert v.weight_bytes == inventory.weight_bytes
 
 
 class TestAdamTrace:
