@@ -93,8 +93,6 @@ class TenAnalyzer:
         default), so strided layouts can seed strided Meta Table entries.
         Off by default — the paper's detector is strictly line-contiguous.
         """
-        if capacity <= 0:
-            raise ConfigError("Meta Table capacity must be positive")
         self.stats = stats if stats is not None else Stats("tenanalyzer")
         self.vn_store = vn_store if vn_store is not None else OffChipVnStore()
         self.table = MetaTable(
@@ -144,12 +142,19 @@ class TenAnalyzer:
             self.stats.add("read_miss")
             return ReadResult(ReadKind.MISS, offchip_vn, 1, True)
 
-        offchip_vn = self.vn_store.read(vaddr)
         self.stats.add("read_miss")
+        return ReadResult(ReadKind.MISS, self._read_miss(vaddr), 1, True)
+
+    def _read_miss(self, vaddr: int) -> int:
+        """Fig. 10 miss of a line neither covered nor a boundary: the
+        off-chip VN, observed by the Tensor Filter. A stream the filter
+        completes becomes a Meta Table entry. The caller counts
+        ``read_miss``."""
+        offchip_vn = self.vn_store.read(vaddr)
         geometry = self.filter.observe(vaddr, offchip_vn)
         if geometry is not None:
             self.table.insert(geometry, vn=offchip_vn, source="filter")
-        return ReadResult(ReadKind.MISS, offchip_vn, 1, True)
+        return offchip_vn
 
     # -- dataflow for writing (Fig. 12) ---------------------------------------
 
@@ -217,18 +222,28 @@ class TenAnalyzer:
         drivers' historical handling.
 
         The window is split once into maximal runs of same-kind,
-        line-contiguous accesses and the common case of a run is applied in
-        bulk:
+        line-contiguous accesses, and each run is applied in steps:
 
-        - reads inside one resident entry are one LRU step with bulk VNs;
+        - reads inside one resident entry are one LRU step with bulk VNs
+          (hit-in);
+        - reads from an entry's boundary are one Meta Table step
+          (:meth:`MetaTable.extend_run`) that grows the entry over the
+          streak of lines whose off-chip VN equals the entry VN. The
+          streak stops before a mispredicting line, a line another entry
+          covers, and the line after a strided entry's row end;
+        - a read neither covered nor a boundary takes the shared miss
+          helper (:meth:`_read_miss`): off-chip VN, Tensor Filter, and the
+          entry a detection seeds;
         - writes inside one entry that neither complete it nor hit a
           flipped line are one bitmap update and one Tensor Filter snoop.
 
-        Every other access — boundary, miss, completion, Assert1
-        violation, EnTMF off — takes the per-access dataflow
-        (:meth:`on_read_va` / :meth:`on_write_va`). VNs, table, filter and
-        VN-store state and counter totals equal a per-access replay of the
-        window (pinned by ``tests/test_trace_batch.py``).
+        What is left goes per access through :meth:`on_read_va` /
+        :meth:`on_write_va`: boundary mispredicts, the write that completes
+        an entry, Assert1 violations, uncovered writes, and every access
+        while EnTMF is off. Read counters are added once per window. VNs,
+        table, filter and VN-store state and counter totals equal a
+        per-access replay of the window (pinned by
+        ``tests/test_trace_batch.py``).
         """
         if not self.enabled:
             return [
@@ -248,11 +263,14 @@ class TenAnalyzer:
             reads[run_starts].tolist(),
         )
         covered_run = self.table.covered_run
+        extend_run = self.table.extend_run
         touch_run = self.table.touch_run
         drop_covering = self.filter.drop_covering
+        read_miss = self._read_miss
         on_read_va = self.on_read_va
         on_write_va = self.on_write_va
-        read_hit_in = write_hit_edge = write_hit_in = 0
+        read_hit_in = read_hit_boundary = read_misses = 0
+        write_hit_edge = write_hit_in = 0
         vns: List[int] = []
         append = vns.append
         extend = vns.extend
@@ -260,13 +278,23 @@ class TenAnalyzer:
             while remaining:
                 entry, n = covered_run(vaddr, remaining)
                 if reading:
-                    if entry is None:
-                        append(on_read_va(vaddr).vn)
-                        n = 1
-                    else:
+                    if entry is not None:
                         touch_run(entry, n)
                         read_hit_in += n
                         extend(entry.vns_for_run(vaddr, n))
+                    else:
+                        entry, n = extend_run(vaddr, remaining)
+                        if n:
+                            drop_covering(vaddr, n)
+                            read_hit_boundary += n
+                            extend([entry.vn] * n)
+                        elif entry is None:
+                            append(read_miss(vaddr))
+                            read_misses += 1
+                            n = 1
+                        else:
+                            append(on_read_va(vaddr).vn)
+                            n = 1
                 else:
                     n, edges = entry.write_run(vaddr, n) if entry is not None else (0, 0)
                     if n:
@@ -280,12 +308,15 @@ class TenAnalyzer:
                 vaddr += n * LINE
                 remaining -= n
         stats = self.stats
-        if read_hit_in:
-            stats.add("read_hit_in", read_hit_in)
-        if write_hit_edge:
-            stats.add("write_hit_edge", write_hit_edge)
-        if write_hit_in:
-            stats.add("write_hit_in", write_hit_in)
+        for key, count in (
+            ("read_hit_in", read_hit_in),
+            ("read_hit_boundary", read_hit_boundary),
+            ("read_miss", read_misses),
+            ("write_hit_edge", write_hit_edge),
+            ("write_hit_in", write_hit_in),
+        ):
+            if count:
+                stats.add(key, count)
         return vns
 
     # -- fast-path installation from transfer descriptors (Sec. 4.2) ----------

@@ -105,13 +105,16 @@ class EntryGeometry:
             return self.base_va + self.run_lines * LINE
         return self.base_va + (self.count * self.stride_lines + self.tail_lines) * LINE
 
-    def extend(self) -> None:
-        """Grow coverage by one line at the boundary address."""
+    def extend(self, n_lines: int = 1) -> None:
+        """Grow coverage by ``n_lines`` lines from the boundary address; a
+        strided geometry grows at most to the end of its current row."""
         if self.extensible_run:
-            self.run_lines += 1
+            self.run_lines += n_lines
             self.stride_lines = self.run_lines
             return
-        self.tail_lines += 1
+        self.tail_lines += n_lines
+        if self.tail_lines > self.run_lines:
+            raise SimulationError("extension runs past the end of a row")
         if self.tail_lines == self.run_lines:
             self.count += 1
             self.tail_lines = 0

@@ -19,7 +19,11 @@ from repro.cpu.tenanalyzer.entry import (
     try_merge_geometries,
 )
 from repro.cpu.tenanalyzer.vn_store import OffChipVnStore
+from repro.errors import ConfigError
 from repro.sim.stats import Stats
+from repro.units import CACHELINE_BYTES
+
+LINE = CACHELINE_BYTES
 
 
 class LookupKind(enum.Enum):
@@ -50,8 +54,12 @@ class MetaTable:
         whereas random replacement lets a growing fraction persist, which is
         what produces the gradual hit_in convergence of Fig. 18.
         """
+        if capacity < 1:
+            raise ConfigError("Meta Table capacity must be positive")
+        if merge_window < 1:
+            raise ConfigError(f"merge window must be at least 1 entry, got {merge_window}")
         if replacement not in ("random", "lru"):
-            raise ValueError(f"unknown replacement policy {replacement!r}")
+            raise ConfigError(f"unknown replacement policy {replacement!r}")
         self.capacity = capacity
         self.merge_window = merge_window
         self.replacement = replacement
@@ -140,18 +148,61 @@ class MetaTable:
 
     # -- mutation ---------------------------------------------------------------
 
-    def extend(self, entry: MetaTableEntry) -> None:
-        """Grow an entry by one line at its boundary (verified by caller)."""
+    def extend_run(self, vaddr: int, n_lines: int) -> Tuple[Optional[MetaTableEntry], int]:
+        """Fig. 10 hit-boundary, one streak at a time.
+
+        When uncovered ``vaddr`` is an entry's boundary, grows that entry
+        over the longest streak of the ``n_lines`` lines from ``vaddr`` that
+        per-line boundary reads would each extend by one line, and returns
+        ``(entry, streak)``. The streak stops before the first line that
+
+        - has an off-chip VN other than the entry VN (a mispredict);
+        - another entry covers;
+        - no longer is the boundary: a strided entry's boundary jumps to
+          the next row once the current row is complete.
+
+        The table is left as ``streak`` :meth:`lookup` + :meth:`extend`
+        pairs leave it. ``(entry, 0)`` (the first line mispredicts) and
+        ``(None, 0)`` (``vaddr`` is no boundary) change nothing.
+        """
+        entry_id = self._boundary_map.get(vaddr)
+        if entry_id is None:
+            return None, 0
+        entry = self._entries[entry_id]
+        geometry = entry.geometry
+        if not geometry.extensible_run:
+            n_lines = min(n_lines, geometry.run_lines - geometry.tail_lines)
+        vn, line_map, read = entry.vn, self._line_map, self.vn_store.read
+        streak = 0
+        for line in range(vaddr, vaddr + n_lines * LINE, LINE):
+            if read(line) != vn or line in line_map:
+                break
+            streak += 1
+        if streak:
+            self.touch_run(entry, streak)
+            self.extend(entry, streak)
+        return entry, streak
+
+    def extend(self, entry: MetaTableEntry, n_lines: int = 1) -> None:
+        """Grow an entry by ``n_lines`` lines at its boundary (verified by
+        the caller: uncovered, and the boundary stays the next line until
+        the last of them)."""
         entry_id = self._id_of(entry)
+        boundary_map = self._boundary_map
         old_boundary = entry.geometry.boundary_va()
-        if self._boundary_map.get(old_boundary) == entry_id:
-            del self._boundary_map[old_boundary]
-        entry.geometry.extend()
-        self._line_map[old_boundary] = entry_id
+        if boundary_map.get(old_boundary) == entry_id:
+            del boundary_map[old_boundary]
+        grown = range(old_boundary, old_boundary + n_lines * LINE, LINE)
+        # One line at a time, each intermediate boundary would be claimed
+        # for this entry and then released, whoever held it before.
+        for line in grown[1:]:
+            boundary_map.pop(line, None)
+        entry.geometry.extend(n_lines)
+        self._line_map.update(dict.fromkeys(grown, entry_id))
         new_boundary = entry.geometry.boundary_va()
         if new_boundary not in self._line_map:
-            self._boundary_map[new_boundary] = entry_id
-        self.stats.add("extensions")
+            boundary_map[new_boundary] = entry_id
+        self.stats.add("extensions", n_lines)
         self._note_updated(entry_id)
 
     def insert(self, geometry: EntryGeometry, vn: int, source: str = "filter") -> MetaTableEntry:

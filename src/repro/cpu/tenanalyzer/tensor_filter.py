@@ -10,12 +10,13 @@ tensors concurrently; LRU eviction discards noise streams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.cpu.tenanalyzer.entry import MAX_STRIDE_LINES, EntryGeometry
+from repro.errors import ConfigError
 from repro.sim.stats import Stats
 from repro.units import CACHELINE_BYTES
 
@@ -154,10 +155,11 @@ class FilterEntry:
     #: collection locks it on the second observation; the default filter
     #: never changes it.
     stride_lines: int = 1
+    #: The address that continues the stream, kept up to date by the filter.
+    next_va: int = field(init=False)
 
-    @property
-    def next_va(self) -> int:
-        return self.base_va + self.collected * self.stride_lines * LINE
+    def __post_init__(self) -> None:
+        self.next_va = self.base_va + self.collected * self.stride_lines * LINE
 
 
 class TensorFilter:
@@ -179,6 +181,12 @@ class TensorFilter:
         stride_detect: bool = False,
         max_stride_lines: int = MAX_STRIDE_LINES,
     ) -> None:
+        if n_entries < 1:
+            raise ConfigError(f"Tensor Filter needs at least 1 entry, got {n_entries}")
+        if collect_target < 2:
+            raise ConfigError(
+                f"Tensor Filter collect target must be at least 2 lines, got {collect_target}"
+            )
         self.n_entries = n_entries
         self.collect_target = collect_target
         self.stats = stats if stats is not None else Stats("tensor_filter")
@@ -203,6 +211,7 @@ class TensorFilter:
                     self.stats.add("vn_restarts")
                     return None
                 entry.collected += 1
+                entry.next_va += entry.stride_lines * LINE
                 entry.lru_tick = self._tick
                 if entry.collected >= self.collect_target:
                     self._entries.pop(index)
@@ -219,6 +228,7 @@ class TensorFilter:
                 if diff > LINE and diff % LINE == 0 and diff // LINE <= self.max_stride_lines:
                     entry.stride_lines = diff // LINE
                     entry.collected = 2
+                    entry.next_va = vaddr + diff
                     entry.lru_tick = self._tick
                     self.stats.add("stride_locks")
                     return None
@@ -227,8 +237,8 @@ class TensorFilter:
 
     def _allocate(self, vaddr: int, vn: int) -> None:
         if len(self._entries) >= self.n_entries:
-            victim = min(range(len(self._entries)), key=lambda i: self._entries[i].lru_tick)
-            self._entries.pop(victim)
+            ticks = [entry.lru_tick for entry in self._entries]
+            self._entries.pop(ticks.index(min(ticks)))  # the first least-recent
             self.stats.add("evictions")
         self._entries.append(FilterEntry(vaddr, vn, lru_tick=self._tick))
         self.stats.add("allocations")

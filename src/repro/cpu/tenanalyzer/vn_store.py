@@ -26,7 +26,7 @@ class OffChipVnStore:
 
     def read(self, vaddr: int) -> int:
         """Current off-chip VN of the line containing ``vaddr``."""
-        return self._vn.get(self._line(vaddr), 0)
+        return self._vn.get(vaddr - vaddr % CACHELINE_BYTES, 0)
 
     def bump(self, vaddr: int) -> int:
         """Increment on a line write-back; returns the new VN."""

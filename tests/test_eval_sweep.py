@@ -236,6 +236,17 @@ class TestExpansion:
         assert all(p.params["config"].n_layers == 24 for p in points)
         assert points[0].point_id == "meta_table_capacity=128"
 
+    def test_fig18_merge_window_zero_is_a_config_error(self):
+        raw = {
+            "name": "fig18window",
+            "experiment": "fig18_hit_rate",
+            "base": {"iterations": 1},
+            "axes": [{"param": "config.merge_window", "values": [0]}],
+        }
+        (point,) = expand(spec_from_dict(raw))
+        with pytest.raises(ConfigError, match="merge window"):
+            REGISTRY.get("fig18_hit_rate").execute(**point.params)
+
     def test_nested_unknown_field_rejected(self):
         raw = {
             "name": "bad",

@@ -2,12 +2,15 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cpu.tenanalyzer import TenAnalyzer
 from repro.cpu.tenanalyzer.analyzer import ReadKind, WriteKind
+from repro.cpu.tenanalyzer.meta_table import MetaTable
 from repro.cpu.tenanalyzer.tensor_filter import TensorFilter
+from repro.errors import ConfigError
 from repro.sim.trace import AccessKind, MemAccess
 from repro.sim.trace_batch import TraceBatch
 from repro.tensor.registry import TensorRegistry
@@ -24,6 +27,33 @@ def read(analyzer, va):
 
 def write(analyzer, va):
     return analyzer.on_write(MemAccess(va, AccessKind.WRITE))
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("capacity", 0),
+            ("capacity", -1),
+            ("merge_window", 0),
+            ("merge_window", -1),
+            ("replacement", "fifo"),
+        ],
+    )
+    def test_meta_table_rejects(self, name, value):
+        with pytest.raises(ConfigError):
+            MetaTable(**{name: value})
+
+    @pytest.mark.parametrize(
+        "name, value", [("n_entries", 0), ("collect_target", 0), ("collect_target", 1)]
+    )
+    def test_tensor_filter_rejects(self, name, value):
+        with pytest.raises(ConfigError):
+            TensorFilter(**{name: value})
+
+    def test_analyzer_capacity_message(self):
+        with pytest.raises(ConfigError, match="Meta Table capacity must be positive"):
+            TenAnalyzer(capacity=0)
 
 
 class TestTensorFilter:

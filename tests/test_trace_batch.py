@@ -98,6 +98,88 @@ def _bursty_script(seed, windows=8, bursts=60):
     return steps
 
 
+def _streak_scripts():
+    """Hand-built replay scripts, one per way a hit-boundary streak starts,
+    stops or resumes.
+
+    Line numbers count from line 0x4000. Entries come from transfer
+    installs. Two runs of equal length and VN merge into one strided
+    entry, so entries meant to stay apart differ in length.
+    """
+    base = 0x4000
+
+    def install(first, n_lines, vn, stride=1):
+        return ("install", (base + first) * LINE, n_lines, vn, stride)
+
+    def window(*spans):
+        """Access each ``(first, stop[, kind])`` span of lines in turn
+        (reads unless a kind is given)."""
+        vaddrs, kinds = [], []
+        for first, stop, *kind in spans:
+            vaddrs.extend((base + line) * LINE for line in range(first, stop))
+            kinds.extend((kind or [KIND_READ]) * (stop - first))
+        return ("replay", vaddrs, kinds)
+
+    return {
+        # Lines 8 and 16 are rows of a strided entry, line 50 starts a
+        # contiguous one.
+        "into_coverage": [
+            install(0, 5, 0),
+            install(8, 3, 5, stride=8),
+            install(40, 6, 0),
+            install(50, 7, 0),
+            window((5, 20), (46, 60)),
+        ],
+        # A merged entry with 4-line rows 16 lines apart completes row 2
+        # in one streak and row 3 over two windows; its boundary jumps to
+        # the next row each time. A one-line-row entry jumps every line.
+        "row_end": [
+            install(0, 4, 0),
+            install(16, 4, 0),
+            install(100, 3, 0, stride=8),
+            window((32, 40), (124, 128), (48, 50)),
+            window((50, 53), (132, 134)),
+        ],
+        # Line 8 (the streak's fourth) and line 26 (a streak's first) hold
+        # another off-chip VN.
+        "vn_poke": [
+            install(0, 5, 0),
+            install(20, 6, 0),
+            ("poke", (base + 8) * LINE, 1),
+            ("poke", (base + 26) * LINE, 3),
+            window((5, 12), (26, 30)),
+        ],
+        # Cut by the window's end, by a jump and by a write, then resumed.
+        "resumed": [
+            install(0, 4, 0),
+            window((4, 7)),
+            window((7, 9), (60, 61), (9, 12)),
+            window((12, 14), (14, 15, KIND_WRITE), (14, 18), (18, 20)),
+        ],
+        # The strided entry at 0 (lines 0 and 4) has claimed line 8 as its
+        # boundary; the streak from 7 passes through it.
+        "claimed_key": [
+            install(0, 2, 2, stride=4),
+            install(5, 2, 0),
+            window((7, 11), (11, 13)),
+        ],
+        # Misses at 7 and 8 leave a half-collected Tensor Filter stream
+        # that the streak from 5 then covers.
+        "over_filter_stream": [
+            install(0, 5, 0),
+            window((7, 9)),
+            window((5, 12)),
+        ],
+        # The fourth miss completes a stream; the next line is the new
+        # entry's boundary. Lines two apart seed a strided entry when
+        # stride detection is on.
+        "detection_mid_run": [
+            window((200, 212)),
+            window((300, 301), (302, 303), (304, 305), (306, 307), (308, 311)),
+        ],
+    }
+
+
 #: TenAnalyzer replay parity configs: (capacity, replacement, stride_detect, EnTMF).
 REPLAY_CONFIGS = [
     (capacity, replacement, stride_detect, True)
@@ -350,11 +432,11 @@ class TestModeParity:
 
     @pytest.mark.parametrize("capacity, replacement, stride_detect, enabled", REPLAY_CONFIGS)
     def test_tenanalyzer_replay_parity(self, capacity, replacement, stride_detect, enabled):
-        def run(replay):
+        def run(replay, script):
             analyzer = TenAnalyzer(capacity=capacity, stride_detect=stride_detect, enabled=enabled)
             analyzer.table.replacement = replacement
             vns = []
-            for step in _bursty_script(seed=capacity + 3 * stride_detect):
+            for step in script:
                 if step[0] == "install":
                     analyzer.install_from_transfer(*step[1:])
                 elif step[0] == "poke":
@@ -364,11 +446,14 @@ class TestModeParity:
                 _assert_index_exact(analyzer.table)
             return vns, _analyzer_state(analyzer)
 
-        batch_vns, batch_state = run(TenAnalyzer.replay_window)
-        ref_vns, ref_state = run(_replay_per_access)
-        assert batch_vns == ref_vns
-        for key in ref_state:
-            assert batch_state[key] == ref_state[key], key
+        scripts = {"bursty": _bursty_script(seed=capacity + 3 * stride_detect)}
+        scripts.update(_streak_scripts())
+        for name, script in scripts.items():
+            batch_vns, batch_state = run(TenAnalyzer.replay_window, script)
+            ref_vns, ref_state = run(_replay_per_access, script)
+            assert batch_vns == ref_vns, name
+            for key in ref_state:
+                assert batch_state[key] == ref_state[key], (name, key)
 
     @pytest.mark.parametrize("dtype", list(DType))
     def test_tile_row_lines_match_geometry_walk(self, dtype):
