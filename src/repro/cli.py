@@ -1,4 +1,4 @@
-"""CLI: ``python -m repro {run,list,clean,bench,sweep,sched,digest,serve,worker,jobs}``.
+"""CLI: ``python -m repro {run,list,clean,bench,sweep,digest,serve,worker,jobs}``.
 
 Examples::
 
@@ -12,12 +12,8 @@ Examples::
     python -m repro sweep list
     python -m repro sweep show mac_policy
     python -m repro sweep run npu_scaling --jobs 4
-    python -m repro sweep run npu_scaling --shard 1/2 --retries 2
-    python -m repro sweep run npu_scaling --resume
-    python -m repro sweep run npu_scaling --balance cost --jobs 4
+    python -m repro sweep run npu_scaling --shard 1/2
     python -m repro sweep merge npu_scaling
-    python -m repro sweep status npu_scaling
-    python -m repro sched plan npu_scaling --slots 4
     python -m repro digest --check benchmarks/artifact_digests.json
     python -m repro serve --port 8765 --workers 4
     python -m repro serve --external-only --autosplit 3
@@ -42,11 +38,6 @@ from typing import List, Optional, Sequence
 from repro.errors import ConfigError, ServiceError
 from repro.eval.orchestrator import Orchestrator, _execute_one, clean, derive_seed
 from repro.eval.registry import REGISTRY
-
-#: ``sweep status`` exit code when no journal exists at all — distinct
-#: from 1 (incomplete sweep) and 2 (configuration error) so automation
-#: can tell "never ran" apart from "ran and has pending points".
-EXIT_NO_JOURNAL = 3
 
 
 def _split_names(values: Sequence[str]) -> Optional[List[str]]:
@@ -87,10 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="always execute, and do not store new cache entries",
     )
     run.add_argument("--seed", type=int, default=0, help="run-level RNG seed")
-    run.add_argument(
-        "--retries", type=int, default=0, metavar="N",
-        help="re-execute a failed experiment up to N extra times",
-    )
     run.add_argument(
         "--json", action="store_true",
         help="print the manifest to stdout instead of progress lines",
@@ -168,22 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(consolidate with `sweep merge`)",
     )
     sweep_run.add_argument(
-        "--resume", action="store_true",
-        help="replay the run journal + result cache and schedule only "
-        "incomplete points",
-    )
-    sweep_run.add_argument(
-        "--retries", type=int, default=0, metavar="N",
-        help="re-execute a failed point up to N extra times before "
-        "quarantining it (budget persists across --resume)",
-    )
-    sweep_run.add_argument(
-        "--balance", choices=("round-robin", "cost"), default="round-robin",
-        help="shard/schedule partition strategy: round-robin (default, "
-        "deterministic everywhere) or cost (predicted seconds from the "
-        "learned cost model; writes schedule.json next to the journal)",
-    )
-    sweep_run.add_argument(
         "--json", action="store_true",
         help="print the consolidated sweep document to stdout",
     )
@@ -205,14 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="print the merged document to stdout"
     )
     sweep_merge.add_argument("--quiet", "-q", action="store_true", help="no progress lines")
-
-    sweep_status = sweep_sub.add_parser(
-        "status", help="done/failed/pending counts from the run journal(s)"
-    )
-    sweep_status.add_argument("spec", help="spec name under sweeps/ or a TOML path")
-    sweep_status.add_argument(
-        "--json", action="store_true", help="machine-readable status"
-    )
 
     serve = sub.add_parser(
         "serve", help="persistent job-queue service over the orchestrator"
@@ -287,37 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker identity in leases and logs (default: <hostname>-<pid>)",
     )
     worker.add_argument("--quiet", "-q", action="store_true", help="no per-job lines")
-
-    sched = sub.add_parser(
-        "sched", help="cost-model schedule planning (see EXPERIMENTS.md § Scheduling)"
-    )
-    sched_sub = sched.add_subparsers(dest="sched_command", required=True)
-    sched_plan = sched_sub.add_parser(
-        "plan", help="solve a sweep's schedule from learned costs without executing"
-    )
-    sched_plan.add_argument("spec", help="spec name under sweeps/ or a TOML path")
-    sched_plan.add_argument(
-        "--slots", type=int, default=None, metavar="N",
-        help="slots (pool workers / fleet shards) to pack onto "
-        "(default: CPU count)",
-    )
-    sched_plan.add_argument(
-        "--quick", action="store_true",
-        help="plan the --quick-truncated matrix (what a quick run schedules)",
-    )
-    sched_plan.add_argument(
-        "--limit", type=int, default=None, metavar="N",
-        help="cap the expanded matrix at its first N points",
-    )
-    sched_plan.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="schedule.json path (default: results/sweeps/<name>/schedule.json)",
-    )
-    sched_plan.add_argument(
-        "--json", action="store_true",
-        help="print the schedule document to stdout instead of the summary",
-    )
-    sched_plan.add_argument("--quiet", "-q", action="store_true", help="no summary lines")
 
     jobs = sub.add_parser("jobs", help="client for a running `repro serve`")
     jobs_sub = jobs.add_subparsers(dest="jobs_command", required=True)
@@ -479,7 +411,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         verbose=not (args.quiet or args.json),
         show_text=args.show_text,
     )
-    report = orchestrator.run(only=only, tags=tags, retries=args.retries)
+    report = orchestrator.run(only=only, tags=tags)
     if args.json:
         json.dump(report.manifest(), sys.stdout, indent=2)
         sys.stdout.write("\n")
@@ -612,41 +544,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             print(f"sweep: {json_path}\ncsv:   {csv_path}")
         return 0 if document["counts"]["failed"] == 0 else 1
 
-    if args.sweep_command == "status":
-        try:
-            status = sweep_mod.sweep_status(spec)
-        except sweep_mod.NoJournalError as exc:
-            # Distinct from an incomplete sweep (exit 1): nothing has ever
-            # run here, so there is nothing to resume or merge either.
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NO_JOURNAL
-        if args.json:
-            json.dump(status, sys.stdout, indent=2)
-            sys.stdout.write("\n")
-        else:
-            print(
-                f"sweep {status['sweep']}: {status['n_points']} points — "
-                f"{status['done']} done, {status['failed']} failed, "
-                f"{status['stale']} stale, {status['pending']} pending"
-            )
-            for entry in status["failed_points"]:
-                flag = " (quarantined)" if entry["quarantined"] else ""
-                print(
-                    f"  failed: {entry['point']} "
-                    f"[{entry['error_type']}, {entry['attempts']} attempt(s)]{flag}"
-                )
-            for point_id in status["stale_points"]:
-                print(f"  stale:  {point_id}")
-            for point_id in status["pending_points"]:
-                print(f"  pending: {point_id}")
-            for journal in status["journals"]:
-                torn = ", torn tail" if journal["truncated"] else ""
-                print(
-                    f"journal: {journal['path']} ({journal['records']} records, "
-                    f"{journal['resumes']} resume(s){torn})"
-                )
-        return 0 if status["complete"] else 1
-
     if args.sweep_command == "show":
         points = sweep_mod.expand(spec, quick=args.quick)
         if args.json:
@@ -675,9 +572,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         limit=args.limit,
         verbose=not (args.quiet or args.json),
         shard=sweep_mod.parse_shard(args.shard) if args.shard else None,
-        resume=args.resume,
-        retries=args.retries,
-        balance=args.balance,
     )
     if args.json:
         json.dump(result.document(), sys.stdout, indent=2)
@@ -687,63 +581,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(result.table())
         print(f"\nsweep: {result.json_path}\ncsv:   {result.csv_path}")
     return 0 if result.ok else 1
-
-
-def cmd_sched(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.eval import schedule as schedule_mod
-    from repro.eval import sweep as sweep_mod
-    from repro.eval.cost import CostModel
-
-    spec = sweep_mod.load_spec(args.spec)
-    points = sweep_mod.expand(spec, quick=args.quick, limit=args.limit)
-    slots = args.slots if args.slots and args.slots > 0 else (os.cpu_count() or 1)
-    model = CostModel.from_results()
-    tasks = [
-        schedule_mod.PointTask(
-            label=sweep_mod.point_label(spec.name, p.point_id),
-            experiment=spec.experiment,
-            point=p.point_id,
-            params=p.params,
-        )
-        for p in points
-    ]
-    plan = schedule_mod.plan(
-        tasks,
-        model,
-        slots,
-        sweep=spec.name,
-        experiment=spec.experiment,
-        quick=args.quick,
-        limit=args.limit,
-    )
-    document = plan.document()
-    out = args.out or os.path.join(sweep_mod.sweep_dir(spec.name), "schedule.json")
-    schedule_mod.write_schedule(out, document)
-    if args.json:
-        json.dump(document, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-        return 0
-    if not args.quiet:
-        sources = ", ".join(
-            f"{count} {source}" for source, count in sorted(document["cost_sources"].items())
-        )
-        print(
-            f"schedule {spec.name}: {len(points)} point(s) onto {plan.slots} slot(s) "
-            f"[{sources}; {model.sample_count()} history sample(s)]"
-        )
-        for slot_plan in document["slot_plan"]:
-            ids = ", ".join(p["point"] for p in slot_plan["points"]) or "(idle)"
-            print(f"  slot {slot_plan['slot']}  {slot_plan['predicted_s']:8.2f}s  {ids}")
-        baseline = document["round_robin_makespan_s"]
-        predicted = document["predicted_makespan_s"]
-        ratio = f" ({baseline / predicted:.2f}x better)" if predicted > 0 else ""
-        print(
-            f"predicted makespan: {predicted:.2f}s; round-robin: {baseline:.2f}s{ratio}"
-        )
-        print(f"schedule: {out}")
-    return 0
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -1111,7 +948,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "clean": cmd_clean,
         "bench": cmd_bench,
         "sweep": cmd_sweep,
-        "sched": cmd_sched,
         "digest": cmd_digest,
         "serve": cmd_serve,
         "worker": cmd_worker,

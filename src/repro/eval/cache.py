@@ -114,9 +114,8 @@ class ResultCache:
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as f:
             json.dump(record, f, indent=1)
-            # The run journal records a point as done only after its cache
-            # entry is durable, so fsync before the atomic rename — a crash
-            # must never leave a journaled success without a replayable entry.
+            # fsync before the atomic rename: a crashed run is finished by
+            # running it again, and every entry stored here must replay.
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)

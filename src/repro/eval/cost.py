@@ -1,11 +1,11 @@
-"""Learned per-point cost model for schedule planning.
+"""Learned per-point cost model for execution ordering.
 
-Every journal and manifest this repo writes already records the true
-``elapsed_s`` of every experiment point, so predicted cost does not have
-to be guessed from a static class: :class:`CostModel` ingests that
-history (``results/manifest.json`` plus every sweep/shard
-``journal.jsonl``) and predicts seconds for an (experiment, params)
-point. The estimate resolution order is:
+Every manifest this repo writes already records the true ``elapsed_s``
+of every experiment point, so predicted cost does not have to be guessed
+from a static class: :class:`CostModel` ingests that history
+(``results/manifest.json`` plus every sweep and shard ``manifest.json``)
+and predicts seconds for an (experiment, params) point. The estimate
+resolution order is:
 
 1. **point-history** — samples recorded for this exact experiment at
    these exact normalized params (median by default, EWMA optional);
@@ -16,11 +16,9 @@ point. The estimate resolution order is:
    experiment has never run here.
 
 The model is deliberately simple and deterministic: for a fixed results
-tree it always produces the same predictions, which is what lets the
-schedule solver (:mod:`repro.eval.schedule`) emit reproducible plans.
-Consumers: ``Orchestrator._execute`` (longest-predicted-first ordering),
-``sweep run --balance cost``, ``serve --autosplit-min-seconds``, and the
-``repro sched plan`` CLI.
+tree it always produces the same predictions. Consumers:
+``Orchestrator._execute`` (longest-predicted-first ordering) and
+``serve --autosplit-min-seconds``.
 """
 
 from __future__ import annotations
@@ -34,9 +32,12 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.eval.journal import SUCCESS_STATUSES, read_journal
 from repro.eval.registry import COST_CLASSES, normalize_params
 from repro.eval.tables import results_dir
+
+#: Manifest row statuses that carry a real timing sample (mirrors the
+#: orchestrator's STATUS_EXECUTED / STATUS_CACHED).
+SUCCESS_STATUSES = ("executed", "cached")
 
 #: Static per-cost-class priors (predicted seconds) used when an
 #: experiment has no recorded history. Strictly ordered slow > medium >
@@ -124,7 +125,7 @@ class CostModel:
         self._experiment.setdefault(experiment, []).append(sample)
 
     def sample_count(self) -> int:
-        """Total observations ingested (for logs and ``sched plan``)."""
+        """Total observations ingested."""
         return sum(len(samples) for samples in self._experiment.values())
 
     # ------------------------------------------------------------------
@@ -161,22 +162,13 @@ class CostModel:
     # ------------------------------------------------------------------
     # Ingestion
 
-    def ingest_journal(self, path: str) -> int:
-        """Feed every successful point record of one run journal."""
-        view = read_journal(path)
-        count = 0
-        for record in view.records:
-            if record.succeeded and record.elapsed_s > 0.0:
-                self.observe(record.experiment, record.params, record.elapsed_s, record.ts)
-                count += 1
-        return count
-
     def ingest_manifest(self, path: str) -> int:
         """Feed every successful experiment row of a results manifest.
 
         Cached rows carry the *original* execution's elapsed time, so they
-        are timing samples too (re-observing an already-journaled run is
-        harmless: duplicate identical samples do not move a median).
+        are timing samples too (re-observing the same run from a later
+        manifest is harmless: duplicate identical samples do not move a
+        median).
         """
         with open(path, "r", encoding="utf-8") as f:
             document = json.load(f)
@@ -197,29 +189,23 @@ class CostModel:
 
     @classmethod
     def from_results(cls, root: Optional[str] = None, **kwargs: Any) -> "CostModel":
-        """Build a model from everything under the results tree.
+        """Build a model from every manifest under the results tree.
 
-        Scans ``manifest.json`` plus every sweep and shard journal.
-        Unreadable or torn files are skipped — history is advisory, and a
-        half-written journal must never fail a schedule plan.
+        Scans ``manifest.json`` plus every sweep and shard
+        ``manifest.json``. Unreadable or torn files are skipped — history
+        is advisory, and a half-written manifest must never fail a run.
         """
         model = cls(**kwargs)
         root = root or results_dir()
-        candidates = [os.path.join(root, "manifest.json")]
-        candidates.extend(sorted(glob.glob(os.path.join(root, "sweeps", "*", "manifest.json"))))
-        journals = sorted(glob.glob(os.path.join(root, "sweeps", "*", "journal.jsonl")))
-        journals.extend(
-            sorted(glob.glob(os.path.join(root, "sweeps", "*", "shards", "*", "journal.jsonl")))
+        paths = [os.path.join(root, "manifest.json")]
+        paths.extend(sorted(glob.glob(os.path.join(root, "sweeps", "*", "manifest.json"))))
+        paths.extend(
+            sorted(glob.glob(os.path.join(root, "sweeps", "*", "shards", "*", "manifest.json")))
         )
-        for path in candidates:
+        for path in paths:
             try:
                 model.ingest_manifest(path)
             except (OSError, ValueError):
-                continue
-        for path in journals:
-            try:
-                model.ingest_journal(path)
-            except (ConfigError, OSError, ValueError):
                 continue
         return model
 

@@ -1,26 +1,17 @@
-"""Append-only JSONL run journal for fault-tolerant sweep execution.
+"""Append-only JSONL journal behind the ``repro serve`` job queue.
 
-The orchestrator writes one fsynced record per scheduled point — label,
-cache key, params, seed, status, attempt number, elapsed time, and the
-full error traceback on failure — so a run that is killed mid-sweep
-leaves a durable, inspectable log of exactly which points completed.
-``sweep run --resume`` replays the journal (plus the content-hash result
-cache) to schedule only the incomplete points; ``sweep status`` reports
-done/failed/pending counts from it without running anything.
+This is the serve queue's journal and nothing else: sweeps and
+``repro run`` write no journal, because the fsynced result cache already
+lets a re-run replay every completed point. The queue store
+(:mod:`repro.serve.store`) appends one :class:`JobRecord` line per job
+state transition to ``results/queue/jobs.jsonl``.
 
 Layout: one JSON object per line. The first line is a ``header`` record
-describing the run (sweep name, effective matrix, shard, source digest);
-every later line is a ``point`` record or a ``resume`` marker. The
-``repro serve`` job queue reuses the same machinery with ``job`` records
-(one line per queue state transition — see :class:`JobRecord`). A record
-is only considered written once its line is flushed *and* fsynced, so a
-crash can at worst truncate the final line — :func:`read_journal`
-tolerates a torn tail and surfaces it as ``truncated``.
-
-Fault injection: when ``REPRO_JOURNAL_CRASH_AFTER=N`` is set, the
-process hard-exits (``os._exit``) immediately after the N-th point
-record is made durable. This exists solely for the crash-injection
-tests, which kill a sweep mid-run and assert ``--resume`` completes it.
+describing the queue; every later line is a ``job`` record or a
+``resume`` marker (one per store reopening). A record is only considered
+written once its line is flushed *and* fsynced, so a crash can at worst
+truncate the final line — :func:`read_journal` tolerates a torn tail and
+surfaces it as ``truncated``.
 """
 
 from __future__ import annotations
@@ -38,7 +29,6 @@ from repro.errors import ConfigError
 JOURNAL_SCHEMA = 1
 
 KIND_HEADER = "header"
-KIND_POINT = "point"
 KIND_RESUME = "resume"
 KIND_JOB = "job"
 
@@ -58,44 +48,9 @@ JOB_CANCELLED = "cancelled"
 JOB_STATUSES = (JOB_SUBMITTED, JOB_RUNNING, JOB_DONE, JOB_FAILED, JOB_CANCELLED)
 TERMINAL_JOB_STATUSES = (JOB_DONE, JOB_FAILED, JOB_CANCELLED)
 
-#: Exit code of the REPRO_JOURNAL_CRASH_AFTER fault-injection hard exit.
+#: Exit code of a fault-injection hard exit (the serve store's
+#: ``REPRO_STORE_CRASH_IN_COMPACT`` knob).
 CRASH_EXIT_CODE = 17
-
-#: Statuses that mean a point's work is durably complete (mirrors the
-#: orchestrator's STATUS_EXECUTED / STATUS_CACHED).
-SUCCESS_STATUSES = ("executed", "cached")
-
-
-@dataclass(frozen=True)
-class PointRecord:
-    """One journaled point outcome (or failed attempt)."""
-
-    label: str
-    experiment: str
-    key: str  #: content-hash cache key the point was keyed under
-    seed: int
-    status: str  #: "executed" | "cached" | "failed"
-    params: Dict[str, Any] = field(default_factory=dict)
-    attempt: int = 0  #: 0-based attempt index (monotonic across resumes)
-    elapsed_s: float = 0.0
-    error: Optional[str] = None  #: full traceback text on failure
-    error_type: Optional[str] = None  #: exception class name on failure
-    quarantined: bool = False  #: failed with the retry budget exhausted
-    ts: float = 0.0  #: wall-clock write time (time.time())
-
-    def to_json(self) -> dict:
-        payload: Dict[str, Any] = {"kind": KIND_POINT, "schema": JOURNAL_SCHEMA}
-        payload.update(dataclasses.asdict(self))
-        return payload
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "PointRecord":
-        names = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in payload.items() if k in names})
-
-    @property
-    def succeeded(self) -> bool:
-        return self.status in SUCCESS_STATUSES
 
 
 @dataclass(frozen=True)
@@ -147,22 +102,14 @@ class JobRecord:
 
 @dataclass
 class JournalView:
-    """A parsed journal: header, point records in write order, markers."""
+    """A parsed journal: header, job records in write order, markers."""
 
     path: str
     header: Optional[dict]
-    records: List[PointRecord]
     resumes: int = 0
     truncated: bool = False  #: the final line was torn by a crash
-    malformed: int = 0  #: valid-JSON point lines missing required fields
+    malformed: int = 0  #: valid-JSON job lines missing required fields
     jobs: List[JobRecord] = field(default_factory=list)  #: queue-job records
-
-    def last_by_label(self) -> Dict[str, PointRecord]:
-        """Latest record per point label (later lines supersede earlier)."""
-        last: Dict[str, PointRecord] = {}
-        for record in self.records:
-            last[record.label] = record
-        return last
 
     def last_by_job(self) -> Dict[str, JobRecord]:
         """Latest record per job id (later lines supersede earlier)."""
@@ -171,38 +118,22 @@ class JournalView:
             last[record.job_id] = record
         return last
 
-    def failed_attempts(self, label: str, key: str) -> int:
-        """Attempts burned on ``label`` under cache key ``key``.
-
-        Counts only failures recorded against the *current* key, so a
-        source or parameter change (which rotates the key) resets the
-        budget automatically.
-        """
-        attempts = [
-            r.attempt
-            for r in self.records
-            if r.label == label and r.key == key and r.status == "failed"
-        ]
-        return max(attempts) + 1 if attempts else 0
-
 
 def read_journal(path: str) -> JournalView:
     """Parse a journal file, tolerating a crash-torn final line.
 
     Parsing stops at the first undecodable line (``truncated=True``) —
-    everything before it was fsynced and is trusted. A decodable point
+    everything before it was fsynced and is trusted. A decodable job
     line missing required fields (hand-edited, or a future schema) is
     skipped and counted in ``malformed`` rather than crashing the
-    reader. A missing file is a :class:`ConfigError`: there is nothing
-    to resume or report on.
+    reader. A missing file is a :class:`ConfigError`.
     """
     try:
         with open(path, "r", encoding="utf-8") as f:
             lines = f.read().splitlines()
     except OSError as exc:
-        raise ConfigError(f"no run journal at {path!r}: {exc}") from exc
+        raise ConfigError(f"no journal at {path!r}: {exc}") from exc
     header: Optional[dict] = None
-    records: List[PointRecord] = []
     jobs: List[JobRecord] = []
     resumes = 0
     truncated = False
@@ -222,11 +153,6 @@ def read_journal(path: str) -> JournalView:
         kind = payload.get("kind")
         if kind == KIND_HEADER and header is None:
             header = payload
-        elif kind == KIND_POINT:
-            try:
-                records.append(PointRecord.from_json(payload))
-            except TypeError:
-                malformed += 1
         elif kind == KIND_JOB:
             try:
                 jobs.append(JobRecord.from_json(payload))
@@ -238,7 +164,6 @@ def read_journal(path: str) -> JournalView:
     return JournalView(
         path=path,
         header=header,
-        records=records,
         resumes=resumes,
         truncated=truncated,
         malformed=malformed,
@@ -249,19 +174,18 @@ def read_journal(path: str) -> JournalView:
 class RunJournal:
     """Writer half: every appended line is flushed and fsynced.
 
-    The file is reopened per record — the write rate is one line per
-    completed experiment point, and a short-lived handle keeps the
+    The file is reopened per append — the write rate is one line per job
+    transition (or one batch), and a short-lived handle keeps the
     journal consistent even if the owning process is killed between
-    points (the crash mode the whole layer exists for).
+    appends.
     """
 
     def __init__(self, path: str) -> None:
         self.path = path
-        self._points_written = 0
 
     @classmethod
     def start(cls, path: str, header: Optional[dict] = None) -> "RunJournal":
-        """Begin a fresh journal (truncating any previous run's)."""
+        """Begin a fresh journal (truncating any previous one)."""
         journal = cls(path)
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path, "w", encoding="utf-8") as f:
@@ -275,7 +199,7 @@ class RunJournal:
 
     @classmethod
     def attach(cls, path: str) -> "RunJournal":
-        """Append to an existing journal (the ``--resume`` path).
+        """Append to an existing journal (a reopened queue).
 
         A crash tears the journal only mid-line — i.e. the file does not
         end in a newline — so the torn tail (never a durable record) is
@@ -302,18 +226,8 @@ class RunJournal:
             f.flush()
             os.fsync(f.fileno())
 
-    def append(self, record: PointRecord) -> None:
-        self._append_line(record.to_json())
-        self._points_written += 1
-        self._maybe_crash()
-
     def append_job(self, record: JobRecord) -> None:
-        """Durably append one queue-job state transition.
-
-        Job records do not count toward ``REPRO_JOURNAL_CRASH_AFTER`` —
-        the crash-injection knob targets point execution, and the serve
-        tests kill the server process directly instead.
-        """
+        """Durably append one queue-job state transition."""
         self._append_line(record.to_json())
 
     def append_jobs(self, records: List[JobRecord]) -> None:
@@ -341,8 +255,3 @@ class RunJournal:
             f.write(json.dumps(payload, sort_keys=True) + "\n")
             f.flush()
             os.fsync(f.fileno())
-
-    def _maybe_crash(self) -> None:
-        knob = os.environ.get("REPRO_JOURNAL_CRASH_AFTER")
-        if knob and self._points_written >= int(knob):
-            os._exit(CRASH_EXIT_CODE)

@@ -8,8 +8,14 @@ replays unchanged experiments
 from the :mod:`repro.eval.cache`, and records per-experiment timing, seed,
 cache key and artifact path in ``results/manifest.json``.
 
-``jobs=1`` runs everything in-process in registry order — byte-identical to
-the legacy serial runner and friendlier to debuggers.
+``jobs=1`` runs everything in-process, in the same longest-predicted-first
+order the pool uses — the artifacts are byte-identical to a parallel run's,
+and a debugger can step into the experiment.
+
+A failed point fails its run (the manifest keeps the worker traceback and
+exception class) without stopping its siblings. A failed or interrupted
+run is finished by running it again: every point that completed was
+stored, fsynced, in the result cache and replays from there.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.errors import ConfigError
 from repro.eval import cache as result_cache
 from repro.eval.cost import CostModel
-from repro.eval.journal import PointRecord, RunJournal
 from repro.eval.registry import REGISTRY, normalize_params
 from repro.eval.tables import results_dir, save_result
 from repro.sim.stats import Stats
@@ -95,7 +100,6 @@ class ExperimentRun:
     artifact: Optional[str] = None
     error: Optional[str] = None
     error_type: Optional[str] = None  #: exception class name on failure
-    attempts: int = 0  #: execution attempts (0 when served from cache)
     summary: Optional[dict] = None
 
     def __post_init__(self) -> None:
@@ -113,7 +117,6 @@ class ExperimentRun:
             "params": self.params,
             "tags": self.tags,
             "cost": self.cost,
-            "attempts": self.attempts,
             "artifact": self.artifact,
             "error": self.error,
             "error_type": self.error_type,
@@ -128,7 +131,6 @@ class _Job:
     run: ExperimentRun
     overrides: Dict[str, Any]
     save_artifact: bool = True
-    attempt: int = 0  #: 0-based index of the current try (resumes carry over)
     priority: int = 0
 
 
@@ -263,8 +265,6 @@ class Orchestrator:
         tags: Optional[Sequence[str]] = None,
         params: Optional[Dict[str, Dict[str, Any]]] = None,
         write_manifest: bool = True,
-        journal: Optional[RunJournal] = None,
-        retries: int = 0,
     ) -> RunReport:
         """Run the selected experiments; returns the full report.
 
@@ -283,9 +283,7 @@ class Orchestrator:
             PointRequest(experiment=spec.name, params=dict(params.get(spec.name, {})))
             for spec in specs
         ]
-        return self.run_points(
-            points, write_manifest=write_manifest, journal=journal, retries=retries
-        )
+        return self.run_points(points, write_manifest=write_manifest)
 
     def run_points(
         self,
@@ -293,10 +291,6 @@ class Orchestrator:
         write_manifest: bool = True,
         manifest_path: Optional[str] = None,
         save_artifacts: bool = True,
-        journal: Optional[RunJournal] = None,
-        retries: int = 0,
-        prior_attempts: Optional[Dict[str, int]] = None,
-        replay_failed: Optional[Dict[str, PointRecord]] = None,
     ) -> RunReport:
         """Schedule an explicit batch of (experiment, params) points.
 
@@ -305,18 +299,7 @@ class Orchestrator:
         independently. Labels must be unique — they name the manifest rows
         and (when ``save_artifacts``) the ``results/`` artifact files,
         nested directories allowed.
-
-        Fault tolerance: every terminal outcome (and every failed retry
-        attempt) is appended to ``journal`` as an fsynced record. A failed
-        point is re-executed up to ``retries`` extra times before it is
-        quarantined — one flaky point never aborts the batch.
-        ``prior_attempts`` carries attempt counts from a resumed journal so
-        the budget is bounded across restarts, and ``replay_failed`` rows
-        (points already quarantined in a previous run) are reported straight
-        from their journal record without being rescheduled.
         """
-        if retries < 0:
-            raise ConfigError(f"retries must be >= 0, got {retries}")
         seen: Dict[str, str] = {}
         for point in points:
             if point.display in seen:
@@ -325,11 +308,6 @@ class Orchestrator:
                     f"(experiments {seen[point.display]!r} and {point.experiment!r})"
                 )
             seen[point.display] = point.experiment
-        prior_attempts = dict(prior_attempts or {})
-        replay_failed = dict(replay_failed or {})
-        unknown = sorted((set(prior_attempts) | set(replay_failed)) - set(seen))
-        if unknown:
-            raise ConfigError(f"resume state for unscheduled point label(s) {unknown}")
         stats = Stats("orchestrator")
         digest = result_cache.source_digest()
         cache = result_cache.ResultCache()
@@ -357,17 +335,6 @@ class Orchestrator:
                 experiment=spec.name,
             )
             runs.append(run)
-            if label in replay_failed:
-                # Quarantined in a previous run: report the recorded failure
-                # without rescheduling (and without re-journaling it).
-                record = replay_failed[label]
-                run.error = record.error
-                run.error_type = record.error_type
-                run.elapsed_s = record.elapsed_s
-                run.attempts = record.attempt + 1
-                stats.add("experiments.quarantined")
-                self._log(f"[quarantined after {run.attempts} attempt(s)] {label}")
-                continue
             entry = cache.load(spec.name, key) if self.use_cache else None
             if entry is not None:
                 run.status = STATUS_CACHED
@@ -377,7 +344,6 @@ class Orchestrator:
                 if save_artifacts:
                     run.artifact = save_result(label, entry.text)
                 stats.add("cache.hits")
-                self._journal(journal, run, attempt=0)
                 self._log(f"[cached {entry.elapsed_s:6.1f}s] {run.artifact or label}")
             else:
                 if self.use_cache:
@@ -387,13 +353,12 @@ class Orchestrator:
                         run=run,
                         overrides=overrides,
                         save_artifact=save_artifacts,
-                        attempt=prior_attempts.get(label, 0),
                         priority=point.priority,
                     )
                 )
 
         if pending:
-            self._execute(pending, cache, stats, journal=journal, retries=retries)
+            self._execute(pending, cache, stats)
 
         report = RunReport(
             runs=runs,
@@ -425,32 +390,24 @@ class Orchestrator:
         pending: List[_Job],
         cache: result_cache.ResultCache,
         stats: Stats,
-        journal: Optional[RunJournal] = None,
-        retries: int = 0,
     ) -> None:
         # Higher-priority jobs first, then longest-predicted first so the
-        # pool's tail is short. Prediction comes from recorded history
-        # (journals/manifests) and falls back to the static
-        # slow > medium > fast priors, so even a history-free run orders
-        # all three cost classes instead of the old binary slow/not-slow
-        # sort that let "medium" points schedule dead last.
+        # pool's tail is short. Prediction comes from recorded manifest
+        # history and falls back to the static slow > medium > fast
+        # priors, so even a history-free run orders all three cost classes
+        # instead of the old binary slow/not-slow sort that let "medium"
+        # points schedule dead last.
         ordered = sorted(pending, key=lambda j: (-j.priority, -self._predicted_s(j.run)))
         if self.jobs == 1 or (len(pending) == 1 and not self.persistent_pool):
             for job in ordered:
-                while True:
-                    record, error, error_type = self._run_inline(job)
-                    if record is not None or not self._maybe_retry(
-                        job, error, error_type, journal, stats, retries
-                    ):
-                        break
-                self._finish(job, record, error, error_type, cache, stats, journal)
+                self._finish(job, *self._run_inline(job), cache, stats)
             return
         if self.persistent_pool:
-            self._drain_pool(self._ensure_pool(), ordered, cache, stats, journal, retries)
+            self._drain_pool(self._ensure_pool(), ordered, cache, stats)
             return
         workers = min(self.jobs, len(ordered))
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            self._drain_pool(pool, ordered, cache, stats, journal, retries)
+            self._drain_pool(pool, ordered, cache, stats)
 
     def _drain_pool(
         self,
@@ -458,58 +415,26 @@ class Orchestrator:
         ordered: List[_Job],
         cache: result_cache.ResultCache,
         stats: Stats,
-        journal: Optional[RunJournal],
-        retries: int,
     ) -> None:
         futures = {
             pool.submit(_execute_one, job.run.experiment, job.run.seed, job.overrides): job
             for job in ordered
         }
-        while futures:
-            done, _ = concurrent.futures.wait(
-                futures, return_when=concurrent.futures.FIRST_COMPLETED
-            )
-            for future in done:
-                job = futures.pop(future)
-                record, error, error_type = None, None, None
-                retryable = True
-                try:
-                    record = future.result()
-                except concurrent.futures.BrokenExecutor as exc:
-                    # A worker died hard (segfault/OOM-kill): the pool is
-                    # unusable, so resubmitting could only crash the run.
-                    # Record the failure; the remaining futures drain the
-                    # same way and the report/journal stay complete.
-                    error, error_type = format_error(exc), type(exc).__name__
-                    retryable = False
-                    self._pool_broken = True
-                except Exception as exc:
-                    error, error_type = format_error(exc), type(exc).__name__
-                if (
-                    record is None
-                    and retryable
-                    and self._maybe_retry(job, error, error_type, journal, stats, retries)
-                ):
-                    try:
-                        resubmitted = pool.submit(
-                            _execute_one, job.run.experiment, job.run.seed, job.overrides
-                        )
-                    except concurrent.futures.BrokenExecutor as exc:
-                        # The pool broke between the failure and the retry.
-                        self._pool_broken = True
-                        self._finish(
-                            job,
-                            None,
-                            format_error(exc),
-                            type(exc).__name__,
-                            cache,
-                            stats,
-                            journal,
-                        )
-                    else:
-                        futures[resubmitted] = job
-                else:
-                    self._finish(job, record, error, error_type, cache, stats, journal)
+        for future in concurrent.futures.as_completed(futures):
+            job = futures[future]
+            record, error, error_type = None, None, None
+            try:
+                record = future.result()
+            except concurrent.futures.BrokenExecutor as exc:
+                # A worker died hard (segfault/OOM-kill): the pool is
+                # unusable. Record the failure; the remaining futures fail
+                # the same way, so the report stays complete, and a
+                # persistent pool is rebuilt before its next batch.
+                error, error_type = format_error(exc), type(exc).__name__
+                self._pool_broken = True
+            except Exception as exc:
+                error, error_type = format_error(exc), type(exc).__name__
+            self._finish(job, record, error, error_type, cache, stats)
 
     def _run_inline(self, job: _Job):
         try:
@@ -517,66 +442,6 @@ class Orchestrator:
             return record, None, None
         except Exception as exc:
             return None, format_error(exc), type(exc).__name__
-
-    def _maybe_retry(
-        self,
-        job: _Job,
-        error: Optional[str],
-        error_type: Optional[str],
-        journal: Optional[RunJournal],
-        stats: Stats,
-        retries: int,
-    ) -> bool:
-        """Journal a failed attempt and decide whether to try again.
-
-        The attempt index is monotonic across resumed runs, so ``retries``
-        bounds the *total* executions of a point, not per-invocation ones.
-        """
-        if job.attempt >= retries:
-            return False
-        run = job.run
-        if journal is not None:
-            journal.append(
-                PointRecord(
-                    label=run.name,
-                    experiment=run.experiment,
-                    key=run.cache_key,
-                    seed=run.seed,
-                    status=STATUS_FAILED,
-                    params=run.params,
-                    attempt=job.attempt,
-                    error=error,
-                    error_type=error_type,
-                    quarantined=False,
-                    ts=time.time(),
-                )
-            )
-        stats.add("experiments.retried")
-        self._log(f"[retry {job.attempt + 1}/{retries}] {run.name}: {error_type}")
-        job.attempt += 1
-        return True
-
-    def _journal(
-        self, journal: Optional[RunJournal], run: ExperimentRun, attempt: int
-    ) -> None:
-        if journal is None:
-            return
-        journal.append(
-            PointRecord(
-                label=run.name,
-                experiment=run.experiment,
-                key=run.cache_key,
-                seed=run.seed,
-                status=run.status,
-                params=run.params,
-                attempt=attempt,
-                elapsed_s=run.elapsed_s,
-                error=run.error,
-                error_type=run.error_type,
-                quarantined=run.status == STATUS_FAILED,
-                ts=time.time(),
-            )
-        )
 
     def _finish(
         self,
@@ -586,16 +451,13 @@ class Orchestrator:
         error_type: Optional[str],
         cache: result_cache.ResultCache,
         stats: Stats,
-        journal: Optional[RunJournal] = None,
     ) -> None:
         run = job.run
-        run.attempts = job.attempt + 1
         if record is None:
             run.status = STATUS_FAILED
             run.error = error or "unknown failure"
             run.error_type = error_type
             stats.add("experiments.failed")
-            self._journal(journal, run, attempt=job.attempt)
             self._log(f"[FAILED] {run.name}\n{run.error}")
             return
         run.status = STATUS_EXECUTED
@@ -607,8 +469,8 @@ class Orchestrator:
         stats.add("experiments.executed")
         stats.add("experiments.executed_s", run.elapsed_s)
         if self.use_cache:
-            # Persist (and fsync) the cache entry *before* journaling
-            # success: a journaled success must imply a replayable result.
+            # The fsynced cache entry is what lets a re-run after a crash
+            # replay this point instead of executing it again.
             cache.store(
                 result_cache.CacheEntry(
                     name=run.experiment,
@@ -620,7 +482,6 @@ class Orchestrator:
                     summary=run.summary,
                 )
             )
-        self._journal(journal, run, attempt=job.attempt)
         self._log(f"[{run.elapsed_s:6.1f}s] {run.artifact or run.name}")
         if self.show_text:
             self._log(run.text + "\n")

@@ -53,7 +53,7 @@ PAPER_TAG = "paper"
 SCENARIO_TAG = "scenario"
 
 #: Accepted ``cost`` classes, cheapest first. The class is only a static
-#: prior: once an experiment has journal/manifest history, the learned
+#: prior: once an experiment has manifest history, the learned
 #: cost model (``repro.eval.cost``) predicts from recorded seconds.
 COST_CLASSES = ("fast", "medium", "slow")
 

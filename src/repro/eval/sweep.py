@@ -29,6 +29,12 @@ served from the content-hash cache — and consolidates the results into
 ``results/sweeps/<name>/sweep.json`` plus a ``sweep.csv`` table (one row
 per point: axis values, status, metrics).
 
+A sweep that failed or was interrupted is finished by running it again:
+every point that completed was stored, fsynced, in the result cache and
+replays from there, so only the missing points execute. ``--shard K/N``
+runs one deterministic slice of the matrix and :func:`merge_shards`
+consolidates the slices.
+
 An axis ``param`` may use a dotted path (``config.meta_table_capacity``)
 to sweep one field of a dataclass-typed parameter; the remaining fields
 keep the experiment's default (or the spec's ``base`` override).
@@ -48,16 +54,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
-from repro.eval import cache as result_cache
-from repro.eval import schedule as schedule_mod
-from repro.eval.cost import CostModel
-from repro.eval.journal import (
-    JOURNAL_SCHEMA,
-    JournalView,
-    PointRecord,
-    RunJournal,
-    read_journal,
-)
 from repro.eval.orchestrator import (
     STATUS_CACHED,
     STATUS_EXECUTED,
@@ -65,7 +61,6 @@ from repro.eval.orchestrator import (
     Orchestrator,
     PointRequest,
     RunReport,
-    derive_seed,
 )
 from repro.eval.metrics import extract_metric
 from repro.eval.registry import REGISTRY, ExperimentSpec, normalize_params
@@ -84,25 +79,7 @@ MODE_GRID = "grid"
 MODE_ZIP = "zip"
 MODES = (MODE_GRID, MODE_ZIP)
 
-#: Shard-partition strategies for ``sweep run``. Round-robin is the
-#: default because it is a pure function of the expansion order — every
-#: machine computes the same slices with no shared state. ``cost``
-#: partitions by predicted seconds (see :mod:`repro.eval.schedule`) and
-#: is only deterministic for a fixed results-tree history.
-BALANCE_ROUND_ROBIN = "round-robin"
-BALANCE_COST = "cost"
-BALANCES = (BALANCE_ROUND_ROBIN, BALANCE_COST)
-
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
-
-
-class NoJournalError(ConfigError):
-    """``sweep status`` found no journal at all: the sweep never ran.
-
-    A distinct class (and a distinct CLI exit code) so automation can
-    tell "nothing has ever run" apart from an incomplete run reporting
-    pending points — the two look identical in a plain status count.
-    """
 
 
 @dataclass(frozen=True)
@@ -195,34 +172,6 @@ def shard_points(points: Sequence[SweepPoint], shard: Optional[Shard]) -> List[S
     if shard is None:
         return list(points)
     return [p for p in points if p.index % shard.count == shard.index - 1]
-
-
-def shard_points_cost(
-    points: Sequence[SweepPoint],
-    shard: Optional[Shard],
-    spec: SweepSpec,
-    model: CostModel,
-) -> List[SweepPoint]:
-    """Cost-balanced partition: shard ``K`` is slot ``K-1`` of the solve.
-
-    The solver bin-packs the whole matrix onto ``count`` slots by
-    predicted seconds (never worse than round-robin — see
-    :func:`repro.eval.schedule.solve_assignment`), so a skewed matrix
-    stops putting all its slow points on one machine. Matrix order is
-    preserved within each shard. The slices are still disjoint and
-    complete, so ``sweep merge`` consolidates them unchanged — but they
-    are only reproducible against the *same* learned history, which is
-    why round-robin stays the default.
-    """
-    if shard is None:
-        return list(points)
-    cost_class = REGISTRY.get(spec.experiment).cost
-    costs = [
-        model.predict(spec.experiment, p.params, cost_class=cost_class).seconds
-        for p in points
-    ]
-    assignment = schedule_mod.solve_assignment(costs, shard.count)
-    return [p for p, slot in zip(points, assignment) if slot == shard.index - 1]
 
 
 # -- spec construction --------------------------------------------------------
@@ -621,7 +570,7 @@ VOLATILE_DOCUMENT_KEYS = (
 )
 
 #: Per-point keys that vary between an executed and a cache-replayed (or
-#: resumed/merged) instance of the same result.
+#: merged) instance of the same result.
 VOLATILE_POINT_KEYS = ("status", "cached", "elapsed_s", "artifact")
 
 
@@ -629,9 +578,9 @@ def canonical_document(document: dict) -> dict:
     """The run-invariant content view of a sweep document.
 
     Strips timing, scheduling, and path fields so that an uninterrupted
-    run, a crashed-and-resumed run, and a shard-merged run of the same
-    matrix compare equal — the acceptance property the crash-injection
-    tests assert.
+    run, an interrupted run finished by a plain re-run, and a shard-merged
+    run of the same matrix compare equal — the property the re-run and
+    shard tests assert.
     """
     view = {k: v for k, v in document.items() if k not in VOLATILE_DOCUMENT_KEYS}
     view["points"] = [
@@ -660,123 +609,6 @@ def sweep_dir(sweep_name: str, shard: Optional[Shard] = None) -> str:
     return os.path.join(base, "shards", shard.tag)
 
 
-def expected_keys(
-    spec: SweepSpec, points: Sequence[SweepPoint], digest: Optional[str] = None
-) -> Dict[str, Tuple[int, str]]:
-    """``{label: (seed, cache_key)}`` exactly as the orchestrator derives them.
-
-    Resume planning matches journal records against these keys, so a
-    source or parameter change (which rotates every affected key)
-    automatically invalidates stale journal history.
-    """
-    digest = digest or result_cache.source_digest()
-    out: Dict[str, Tuple[int, str]] = {}
-    for point in points:
-        label = point_label(spec.name, point.point_id)
-        seed = derive_seed(spec.seed, label)
-        key = result_cache.cache_key(
-            spec.experiment, normalize_params(dict(point.params)), seed, digest
-        )
-        out[label] = (seed, key)
-    return out
-
-
-def plan_resume(
-    view: JournalView,
-    expected: Dict[str, Tuple[int, str]],
-    retries: int,
-) -> Tuple[Dict[str, int], Dict[str, PointRecord]]:
-    """Split journal history into carried attempt counts and quarantines.
-
-    A point with a journaled success under its current key is complete
-    (the result cache replays it, so it needs no special handling). A
-    point whose failures exhausted the ``retries`` budget is quarantined:
-    its last failure record is replayed into the report without
-    rescheduling. Anything else is incomplete and runs, with its burned
-    attempts carried forward so the budget is bounded across resumes.
-    """
-    prior_attempts: Dict[str, int] = {}
-    replay_failed: Dict[str, PointRecord] = {}
-    for label, (_seed, key) in expected.items():
-        matching = [r for r in view.records if r.label == label and r.key == key]
-        if any(r.succeeded for r in matching):
-            continue
-        attempts = view.failed_attempts(label, key)
-        if not attempts:
-            continue
-        if attempts > retries:
-            failures = [r for r in matching if r.status == STATUS_FAILED]
-            replay_failed[label] = max(failures, key=lambda r: r.attempt)
-        else:
-            prior_attempts[label] = attempts
-    return prior_attempts, replay_failed
-
-
-def _journal_header(
-    spec: SweepSpec,
-    points: Sequence[SweepPoint],
-    shard: Optional[Shard],
-    quick: bool,
-    limit: Optional[int],
-    digest: str,
-    balance: str = BALANCE_ROUND_ROBIN,
-) -> dict:
-    return {
-        "sweep": spec.name,
-        "experiment": spec.experiment,
-        "mode": spec.mode,
-        "seed": spec.seed,
-        "quick": quick,
-        "limit": limit,
-        "shard": shard.as_dict() if shard else None,
-        "balance": balance,
-        "source_digest": digest,
-        "n_points": len(points),
-        "labels": [point_label(spec.name, p.point_id) for p in points],
-        "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    }
-
-
-def _check_resume_header(
-    header: Optional[dict],
-    spec: SweepSpec,
-    shard: Optional[Shard],
-    quick: bool,
-    limit: Optional[int],
-    balance: str = BALANCE_ROUND_ROBIN,
-) -> None:
-    """A resumed run must continue the *same* matrix the journal began."""
-    if header is None:
-        return  # crashed before the header line was durable: fresh start
-    expected = {
-        "sweep": spec.name,
-        "experiment": spec.experiment,
-        "mode": spec.mode,
-        "seed": spec.seed,
-        "quick": quick,
-        "limit": limit,
-        "shard": shard.as_dict() if shard else None,
-        # Journals from before the balance knob existed are round-robin.
-        "balance": balance,
-    }
-    header = dict(header)
-    header.setdefault("balance", BALANCE_ROUND_ROBIN)
-    mismatched = {
-        name: (header.get(name), value)
-        for name, value in expected.items()
-        if header.get(name) != value
-    }
-    if mismatched:
-        detail = "; ".join(
-            f"{name}: journal={got!r} run={want!r}"
-            for name, (got, want) in sorted(mismatched.items())
-        )
-        raise ConfigError(
-            f"--resume does not match the journal at hand ({detail}); "
-            "run without --resume to start the sweep over"
-        )
-
-
 def run_sweep(
     spec: SweepSpec,
     jobs: Optional[int] = None,
@@ -786,83 +618,31 @@ def run_sweep(
     verbose: bool = True,
     write: bool = True,
     shard: Optional[Shard] = None,
-    resume: bool = False,
-    retries: int = 0,
     orchestrator: Optional[Orchestrator] = None,
-    balance: str = BALANCE_ROUND_ROBIN,
 ) -> SweepResult:
     """Expand ``spec`` and run every point through the orchestrator.
 
     Points are scheduled on the shared process pool with content-hash
-    caching, so an unchanged re-run is all cache hits; each point's
-    rendered artifact lands under ``results/sweeps/<name>/points/`` and
-    the per-point manifest next to the consolidated ``sweep.json``.
-
-    Fault tolerance: every outcome is appended (fsynced) to a
-    ``journal.jsonl`` run journal in the output tree. ``shard`` restricts
-    the run to a deterministic slice of the matrix (consolidate with
-    :func:`merge_shards`); ``resume`` replays the journal plus the result
-    cache and schedules only incomplete points; ``retries`` bounds
-    re-execution of flaky points before they are quarantined.
+    caching, so an unchanged re-run is all cache hits — and a re-run of
+    a failed or interrupted sweep executes only the points that did not
+    complete. Each point's rendered artifact lands under
+    ``results/sweeps/<name>/points/`` and the per-point manifest next to
+    the consolidated ``sweep.json``. ``shard`` restricts the run to a
+    deterministic slice of the matrix (consolidate with
+    :func:`merge_shards`).
 
     ``orchestrator`` is the service (sweep-as-job) entry: pass a live
     :class:`Orchestrator` — typically one holding a persistent worker
     pool — and the sweep is scheduled on it instead of a throwaway
     instance. Its ``jobs``/``use_cache`` settings take precedence over
     the same-named arguments here; its ``run_seed`` is set to the spec's
-    seed so cache keys and resume planning stay consistent.
-
-    ``balance="cost"`` partitions shards and plans execution by predicted
-    seconds from the learned cost model instead of round-robin, and emits
-    the solved plan as ``schedule.json`` next to the journal (predicted
-    per-slot assignment before the run, actual seconds filled in after).
+    seed so cache keys stay consistent.
     """
-    if retries < 0:
-        raise ConfigError(f"retries must be >= 0, got {retries}")
-    if balance not in BALANCES:
-        raise ConfigError(f"balance must be one of {BALANCES}, got {balance!r}")
     if orchestrator is not None:
         orchestrator.run_seed = spec.seed
-        use_cache = orchestrator.use_cache
-    if resume and not use_cache:
-        raise ConfigError(
-            "--resume replays completed points from the result cache; "
-            "it cannot be combined with --no-cache"
-        )
-    all_points = expand(spec, quick=quick, limit=limit)
-    cost_model: Optional[CostModel] = None
-    if balance == BALANCE_COST:
-        cost_model = CostModel.from_results()
-        points = shard_points_cost(all_points, shard, spec, cost_model)
-    else:
-        points = shard_points(all_points, shard)
+    points = shard_points(expand(spec, quick=quick, limit=limit), shard)
     out_dir = sweep_dir(spec.name, shard)
     os.makedirs(out_dir, exist_ok=True)
-    journal_path = os.path.join(out_dir, "journal.jsonl")
-    digest = result_cache.source_digest()
-    prior_attempts: Dict[str, int] = {}
-    replay_failed: Dict[str, PointRecord] = {}
-    if resume:
-        view = read_journal(journal_path)
-        _check_resume_header(view.header, spec, shard, quick, limit, balance)
-        if balance == BALANCE_COST and view.header is not None:
-            want = [point_label(spec.name, p.point_id) for p in points]
-            if view.header.get("labels") != want:
-                raise ConfigError(
-                    "--resume with --balance cost: the learned cost history has "
-                    "changed since this journal was started, so the cost-balanced "
-                    "shard slice no longer matches; re-run without --resume "
-                    "(or with the default round-robin balance)"
-                )
-        prior_attempts, replay_failed = plan_resume(
-            view, expected_keys(spec, points, digest), retries
-        )
-        journal = RunJournal.attach(journal_path)
-    else:
-        journal = RunJournal.start(
-            journal_path,
-            _journal_header(spec, points, shard, quick, limit, digest, balance),
-        )
     requests = [
         PointRequest(
             experiment=spec.experiment,
@@ -873,58 +653,13 @@ def run_sweep(
     ]
     if orchestrator is None:
         orchestrator = Orchestrator(
-            jobs=jobs,
-            use_cache=use_cache,
-            run_seed=spec.seed,
-            verbose=verbose,
-            cost_model=cost_model,
+            jobs=jobs, use_cache=use_cache, run_seed=spec.seed, verbose=verbose
         )
-    schedule_doc: Optional[dict] = None
-    schedule_path = os.path.join(out_dir, "schedule.json")
-    if cost_model is not None:
-        tasks = [
-            schedule_mod.PointTask(
-                label=point_label(spec.name, p.point_id),
-                experiment=spec.experiment,
-                point=p.point_id,
-                params=p.params,
-            )
-            for p in points
-        ]
-        plan = schedule_mod.plan(
-            tasks,
-            cost_model,
-            orchestrator.jobs,
-            sweep=spec.name,
-            experiment=spec.experiment,
-            quick=quick,
-            limit=limit,
-        )
-        schedule_doc = plan.document()
-        schedule_mod.write_schedule(schedule_path, schedule_doc)
-        if verbose:
-            print(
-                f"schedule: {schedule_path} (predicted makespan "
-                f"{plan.predicted_makespan():.1f}s vs round-robin "
-                f"{plan.baseline_makespan():.1f}s on {plan.slots} slot(s))",
-                flush=True,
-            )
     report = orchestrator.run_points(
         requests,
         write_manifest=True,
         manifest_path=os.path.join(out_dir, "manifest.json"),
-        journal=journal,
-        retries=retries,
-        prior_attempts=prior_attempts,
-        replay_failed=replay_failed,
     )
-    if schedule_doc is not None:
-        elapsed = {
-            run.name: run.elapsed_s
-            for run in report.runs
-            if run.status in (STATUS_EXECUTED, STATUS_CACHED)
-        }
-        schedule_mod.write_schedule(schedule_path, schedule_mod.fill_actuals(schedule_doc, elapsed))
     result = SweepResult(
         spec=spec,
         points=points,
@@ -940,7 +675,7 @@ def run_sweep(
     return result
 
 
-# -- shard merge & status -----------------------------------------------------
+# -- shard merge --------------------------------------------------------------
 
 
 def _uniform(docs: List[dict], key: str, context: str) -> Any:
@@ -984,8 +719,8 @@ def merge_shards(
         if not os.path.isfile(shard_json):
             raise ConfigError(
                 f"{context}: shard {entry} has no sweep.json — it crashed or is "
-                f"still running; finish it with `sweep run {spec.name} "
-                f"--shard ... --resume`"
+                "still running; finish it by running it again "
+                f"(`sweep run {spec.name} --shard K/N`)"
             )
         try:
             with open(shard_json, "r", encoding="utf-8") as f:
@@ -1102,99 +837,3 @@ def merge_shards(
             flush=True,
         )
     return merged, json_path, csv_path
-
-
-def sweep_status(spec: SweepSpec) -> dict:
-    """Done/failed/stale/pending counts from the sweep's run journal(s).
-
-    Reads the unsharded journal and every shard journal that exists,
-    takes the latest record per point, and classifies each expanded
-    matrix point: ``done`` (success under its current cache key),
-    ``stale`` (success under an outdated key — the sources or params
-    changed since), ``failed``, or ``pending`` (never journaled).
-    Nothing is executed.
-    """
-    base = sweep_dir(spec.name)
-    candidates = [os.path.join(base, "journal.jsonl")]
-    shards_root = os.path.join(base, "shards")
-    if os.path.isdir(shards_root):
-        candidates += [
-            os.path.join(shards_root, entry, "journal.jsonl")
-            for entry in sorted(os.listdir(shards_root))
-        ]
-    paths = [p for p in candidates if os.path.isfile(p)]
-    if not paths:
-        raise NoJournalError(
-            f"no run journal found under {base}; sweep {spec.name!r} has never run "
-            f"(start it with `sweep run {spec.name}`)"
-        )
-    views = [read_journal(p) for p in paths]
-    headers = [v.header for v in views if v.header is not None]
-    newest = max(headers, key=lambda h: str(h.get("created_at", ""))) if headers else None
-    quick = bool(newest.get("quick")) if newest else False
-    limit = newest.get("limit") if newest else None
-
-    def _matches(view: JournalView) -> bool:
-        if view.header is None:
-            return True
-        return bool(view.header.get("quick")) == quick and view.header.get("limit") == limit
-
-    # Journals from older invocations with a different matrix shape (say a
-    # leftover --quick shard tree next to a fresh full run) are ignored
-    # rather than conflated with the newest run's.
-    kept = [v for v in views if _matches(v)]
-    points = expand(spec, quick=quick, limit=limit)
-    expected = expected_keys(spec, points)
-    # Latest record per label by write timestamp, not journal file order —
-    # a fresh unsharded run supersedes stale shard journals and vice versa.
-    ordered = sorted((record for view in kept for record in view.records), key=lambda r: r.ts)
-    last: Dict[str, PointRecord] = {}
-    for record in ordered:
-        last[record.label] = record
-    done: List[str] = []
-    stale: List[str] = []
-    failed: List[dict] = []
-    pending: List[str] = []
-    for point in points:
-        label = point_label(spec.name, point.point_id)
-        record = last.get(label)
-        _seed, key = expected[label]
-        if record is None:
-            pending.append(point.point_id)
-        elif record.succeeded:
-            (done if record.key == key else stale).append(point.point_id)
-        else:
-            failed.append(
-                {
-                    "point": point.point_id,
-                    "attempts": record.attempt + 1,
-                    "error_type": record.error_type,
-                    "quarantined": record.quarantined,
-                }
-            )
-    return {
-        "schema": JOURNAL_SCHEMA,
-        "sweep": spec.name,
-        "experiment": spec.experiment,
-        "n_points": len(points),
-        "quick": quick,
-        "limit": limit,
-        "done": len(done),
-        "stale": len(stale),
-        "failed": len(failed),
-        "pending": len(pending),
-        "complete": not stale and not failed and not pending,
-        "failed_points": failed,
-        "stale_points": stale,
-        "pending_points": pending,
-        "journals": [
-            {
-                "path": view.path,
-                "records": len(view.records),
-                "resumes": view.resumes,
-                "truncated": view.truncated,
-                "ignored": not _matches(view),
-            }
-            for view in views
-        ],
-    }

@@ -1,21 +1,15 @@
-"""The learned cost model, the schedule solver, and cost-balanced sweeps.
+"""The learned cost model and serve-side fan-out sizing.
 
-Covers :mod:`repro.eval.cost` (history ingestion, fallback chain, static
-priors), :mod:`repro.eval.schedule` (LPT-with-round-robin-guard solver,
-``schedule.json`` document, validation), ``--balance cost`` sweeps, the
-``repro sched plan`` CLI, and serve-side fan-out sizing via
-``--autosplit-min-seconds``.
+Covers :mod:`repro.eval.cost` (manifest history ingestion, fallback
+chain, static priors) and ``repro serve``'s ``--autosplit-min-seconds``
+fan-out sizing.
 """
 
 import json
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.cli import main
 from repro.errors import ConfigError
-from repro.eval import sweep as sweep_mod
 from repro.eval.cost import (
     SOURCE_EXPERIMENT,
     SOURCE_POINT,
@@ -23,42 +17,11 @@ from repro.eval.cost import (
     STATIC_PRIORS,
     CostModel,
 )
-from repro.eval.journal import PointRecord, RunJournal
-from repro.eval.schedule import (
-    PointTask,
-    check_schedule,
-    fill_actuals,
-    lpt_assignment,
-    makespan,
-    plan,
-    read_schedule,
-    round_robin_assignment,
-    round_robin_makespan,
-    solve_assignment,
-    write_schedule,
-)
-from repro.eval.sweep import run_sweep, spec_from_dict
 
 from test_serve import (  # noqa: F401  (fixtures)
     service,
     sweeps_env,
 )
-
-#: The skewed matrix used throughout: per-point costs 1, 2, 4, 8 on two
-#: slots. LPT packs {8} | {4, 2, 1} for makespan 8; round-robin packs
-#: {1, 4} | {2, 8} for makespan 10 — strictly worse.
-SKEWED_COSTS = [1.0, 2.0, 4.0, 8.0]
-
-MAC_2X2 = {
-    "name": "cost2x2",
-    "experiment": "mac_policy",
-    "description": "cost-balanced unit-test matrix",
-    "axes": [
-        {"param": "granule_bytes", "values": [64, 256]},
-        {"param": "policy", "values": ["eager", "delayed"]},
-    ],
-    "metrics": [{"name": "perf", "path": "perf_overhead"}],
-}
 
 
 @pytest.fixture
@@ -130,267 +93,48 @@ class TestCostModel:
         with pytest.raises(ConfigError):
             CostModel(**kwargs)
 
-    def test_from_results_ingests_manifest_and_journals(self, results_env):
-        (results_env / "manifest.json").write_text(
-            json.dumps(
-                {
-                    "generated_at": "2026-08-08T00:00:00",
-                    "experiments": [
-                        {
-                            "experiment": "exp_a",
-                            "params": {"n": 1},
-                            "status": "executed",
-                            "elapsed_s": 3.0,
-                        },
-                        {"experiment": "exp_a", "status": "failed", "elapsed_s": 9.0},
-                        {"experiment": "exp_b", "status": "cached", "elapsed_s": 0.0},
-                    ],
-                }
+    def test_from_results_ingests_root_sweep_and_shard_manifests(self, results_env):
+        def write_manifest(path, rows):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(
+                json.dumps({"generated_at": "2026-08-08T00:00:00", "experiments": rows})
             )
+
+        write_manifest(
+            results_env / "manifest.json",
+            [
+                {"experiment": "exp_a", "params": {"n": 1}, "status": "executed", "elapsed_s": 3.0},
+                {"experiment": "exp_a", "status": "failed", "elapsed_s": 9.0},
+                {"experiment": "exp_b", "status": "cached", "elapsed_s": 0.0},
+            ],
         )
-        journal_dir = results_env / "sweeps" / "s1"
-        journal = RunJournal.start(str(journal_dir / "journal.jsonl"), header={"sweep": "s1"})
-        journal.append(
-            PointRecord(
-                label="sweeps/s1/points/p0",
-                experiment="exp_b",
-                key="k0",
-                seed=0,
-                status="executed",
-                params={"n": 2},
-                elapsed_s=7.0,
-                ts=10.0,
-            )
+        write_manifest(
+            results_env / "sweeps" / "s1" / "manifest.json",
+            [
+                {"experiment": "exp_b", "params": {"n": 2}, "status": "executed", "elapsed_s": 7.0},
+                {"experiment": "exp_b", "params": {"n": 3}, "status": "failed", "elapsed_s": 5.0},
+            ],
         )
-        journal.append(
-            PointRecord(
-                label="sweeps/s1/points/p1",
-                experiment="exp_b",
-                key="k1",
-                seed=0,
-                status="failed",
-                elapsed_s=5.0,
-                ts=11.0,
-            )
+        # A cached row carries its original execution's seconds.
+        write_manifest(
+            results_env / "sweeps" / "s1" / "shards" / "1of2" / "manifest.json",
+            [{"experiment": "exp_c", "params": {"n": 4}, "status": "cached", "elapsed_s": 2.0}],
         )
-        # A torn sibling journal must be skipped, not fail the build.
-        torn = results_env / "sweeps" / "s2"
-        torn.mkdir(parents=True)
-        (torn / "journal.jsonl").write_text('{"kind": "point", "half a re')
+        # A torn sibling manifest must be skipped, not fail the build.
+        torn = results_env / "sweeps" / "s2" / "manifest.json"
+        torn.parent.mkdir(parents=True)
+        torn.write_text('{"experiments": [{"experiment": "exp_d", "elap')
 
         model = CostModel.from_results(root=str(results_env))
         assert model.predict("exp_a", {"n": 1}).seconds == 3.0
         assert model.predict("exp_a", {"n": 1}).source == SOURCE_POINT
         # Failed rows and zero-elapsed cached rows contribute nothing.
         assert model.predict("exp_b", {"n": 2}).seconds == 7.0
-        assert model.sample_count() == 2
-
-
-class TestSolver:
-    costs = st.lists(
-        st.floats(min_value=0.0, max_value=1e4, allow_nan=False, allow_infinity=False),
-        max_size=40,
-    )
-    slots = st.integers(min_value=1, max_value=8)
-
-    @settings(max_examples=200, deadline=None)
-    @given(costs=costs, slots=slots)
-    def test_every_point_assigned_exactly_once(self, costs, slots):
-        assignment = solve_assignment(costs, slots)
-        assert len(assignment) == len(costs)
-        assert all(0 <= slot < slots for slot in assignment)
-
-    @settings(max_examples=100, deadline=None)
-    @given(costs=costs, slots=slots)
-    def test_deterministic_for_fixed_input(self, costs, slots):
-        assert solve_assignment(costs, slots) == solve_assignment(list(costs), slots)
-        assert lpt_assignment(costs, slots) == lpt_assignment(list(costs), slots)
-
-    @settings(max_examples=200, deadline=None)
-    @given(costs=costs, slots=slots)
-    def test_never_worse_than_round_robin(self, costs, slots):
-        planned = makespan(costs, solve_assignment(costs, slots), slots)
-        assert planned <= round_robin_makespan(costs, slots) + 1e-9
-
-    def test_lpt_counterexample_falls_back_to_round_robin(self):
-        # LPT is a 4/3 approximation, not universally <= round-robin:
-        # on [2, 3, 2, 3, 2] x 2 slots LPT packs to makespan 7 while
-        # round-robin packs to 6. The guard must pick round-robin.
-        costs = [2.0, 3.0, 2.0, 3.0, 2.0]
-        assert makespan(costs, lpt_assignment(costs, 2), 2) == 7.0
-        assert round_robin_makespan(costs, 2) == 6.0
-        assert solve_assignment(costs, 2) == round_robin_assignment(5, 2)
-
-    def test_skewed_matrix_strictly_beats_round_robin(self):
-        planned = makespan(SKEWED_COSTS, solve_assignment(SKEWED_COSTS, 2), 2)
-        assert planned == 8.0
-        assert round_robin_makespan(SKEWED_COSTS, 2) == 10.0
-
-    def test_invalid_slots_rejected(self):
-        with pytest.raises(ConfigError):
-            solve_assignment([1.0], 0)
-        with pytest.raises(ConfigError):
-            round_robin_assignment(3, 0)
-
-
-def skewed_plan(slots=2):
-    """A plan over four points whose learned costs are SKEWED_COSTS."""
-    model = CostModel()
-    tasks = []
-    for index, cost in enumerate(SKEWED_COSTS):
-        params = {"n": index}
-        model.observe("exp", params, cost)
-        tasks.append(
-            PointTask(
-                label=f"sweeps/s/points/p{index}",
-                experiment="exp",
-                point=f"p{index}",
-                params=params,
-            )
-        )
-    return plan(tasks, model, slots, sweep="s", experiment="exp"), tasks
-
-
-class TestScheduleDocument:
-    def test_plan_document_validates(self):
-        solved, tasks = skewed_plan()
-        assert solved.predicted_makespan() == 8.0
-        assert solved.baseline_makespan() == 10.0
-        document = solved.document()
-        check_schedule(document, expected_labels=[t.label for t in tasks])
-        assert document["n_points"] == 4
-        assert document["cost_sources"] == {SOURCE_POINT: 4}
-        assert document["predicted_makespan_s"] < document["round_robin_makespan_s"]
-
-    def test_write_read_round_trip(self, tmp_path):
-        solved, _ = skewed_plan()
-        path = str(tmp_path / "schedule.json")
-        solved.write(path)
-        assert read_schedule(path) == solved.document()
-        # Deterministic bytes: rewriting the same plan changes nothing.
-        before = open(path, "rb").read()
-        write_schedule(path, solved.document())
-        assert open(path, "rb").read() == before
-
-    def test_read_schedule_missing_or_junk(self, tmp_path):
-        with pytest.raises(ConfigError, match="no schedule"):
-            read_schedule(str(tmp_path / "absent.json"))
-        junk = tmp_path / "junk.json"
-        junk.write_text("{not json")
-        with pytest.raises(ConfigError, match="unparseable"):
-            read_schedule(str(junk))
-
-    def test_fill_actuals_partial_then_complete(self):
-        solved, tasks = skewed_plan()
-        document = solved.document()
-        partial = fill_actuals(document, {tasks[0].label: 1.5})
-        assert partial["actual"]["filled"] is False
-        assert partial["actual"]["makespan_s"] == 1.5
-        # The source document is untouched (fill_actuals copies).
-        assert document["actual"] == {"filled": False, "makespan_s": None}
-        complete = fill_actuals(
-            document, {task.label: cost for task, cost in zip(tasks, SKEWED_COSTS)}
-        )
-        assert complete["actual"] == {"filled": True, "makespan_s": 8.0}
-        for slot_plan in complete["slot_plan"]:
-            assert slot_plan["actual_s"] == sum(p["actual_s"] for p in slot_plan["points"])
-
-    def test_check_schedule_rejects_defects(self):
-        solved, tasks = skewed_plan()
-        good = solved.document()
-
-        wrong_kind = json.loads(json.dumps(good))
-        wrong_kind["kind"] = "not-a-schedule"
-        with pytest.raises(ConfigError, match="not a schedule"):
-            check_schedule(wrong_kind)
-
-        duplicated = json.loads(json.dumps(good))
-        point = duplicated["slot_plan"][0]["points"][0]
-        duplicated["slot_plan"][1]["points"].append(dict(point))
-        with pytest.raises(ConfigError, match="more than once"):
-            check_schedule(duplicated)
-
-        short = json.loads(json.dumps(good))
-        short["slot_plan"][1]["points"].pop()
-        with pytest.raises(ConfigError, match="header says"):
-            check_schedule(short)
-
-        mislabeled = json.loads(json.dumps(good))
-        with pytest.raises(ConfigError, match="point set mismatch"):
-            check_schedule(mislabeled, expected_labels=["some/other/label"] * 4)
-
-        worse = json.loads(json.dumps(good))
-        worse["round_robin_makespan_s"] = 1.0
-        with pytest.raises(ConfigError, match="exceeds round-robin"):
-            check_schedule(worse)
-
-        inconsistent = json.loads(json.dumps(good))
-        inconsistent["predicted_makespan_s"] = 0.25
-        with pytest.raises(ConfigError, match="busiest slot"):
-            check_schedule(inconsistent)
-
-
-class TestCostBalancedSharding:
-    def test_shards_disjoint_and_complete(self, results_env):
-        spec = spec_from_dict(MAC_2X2)
-        points = sweep_mod.expand(spec)
-        model = CostModel()
-        for point, cost in zip(points, SKEWED_COSTS):
-            model.observe(spec.experiment, point.params, cost)
-        slices = [
-            sweep_mod.shard_points_cost(points, sweep_mod.parse_shard(f"{k}/2"), spec, model)
-            for k in (1, 2)
-        ]
-        ids = [sorted(p.point_id for p in s) for s in slices]
-        assert not set(ids[0]) & set(ids[1])
-        assert sorted(ids[0] + ids[1]) == sorted(p.point_id for p in points)
-        # The skewed solve isolates the 8s point; round-robin would not.
-        assert {len(ids[0]), len(ids[1])} == {1, 3}
-        assert sweep_mod.shard_points_cost(points, None, spec, model) == list(points)
-
-
-class TestSweepBalanceCost:
-    def test_run_sweep_emits_validated_schedule(self, results_env):
-        spec = spec_from_dict(MAC_2X2)
-        result = run_sweep(spec, jobs=1, verbose=False, balance="cost")
-        assert result.ok
-        schedule_path = results_env / "sweeps" / spec.name / "schedule.json"
-        document = read_schedule(str(schedule_path))
-        labels = [sweep_mod.point_label(spec.name, p.point_id) for p in sweep_mod.expand(spec)]
-        check_schedule(document, expected_labels=labels)
-        assert document["actual"]["filled"] is True
-        assert document["actual"]["makespan_s"] > 0
-
-    def test_invalid_balance_rejected(self, results_env):
-        with pytest.raises(ConfigError, match="balance"):
-            run_sweep(spec_from_dict(MAC_2X2), jobs=1, verbose=False, balance="magic")
-
-
-class TestSchedPlanCli:
-    def run_plan(self, capsys, *extra):
-        assert main(["sched", "plan", "m22", "--slots", "2", *extra]) == 0
-        return capsys.readouterr().out
-
-    def test_plan_is_deterministic(self, results_env, sweeps_env, capsys):
-        first = self.run_plan(capsys, "--json")
-        second = self.run_plan(capsys, "--json")
-        assert first == second
-        document = json.loads(first)
-        check_schedule(document)
-        assert document["n_points"] == 4 and document["slots"] == 2
-        on_disk = read_schedule(str(results_env / "sweeps" / "m22" / "schedule.json"))
-        assert on_disk == document
-
-    def test_plan_summary_lines(self, results_env, sweeps_env, capsys):
-        out = self.run_plan(capsys)
-        assert "4 point(s) onto 2 slot(s)" in out
-        assert "predicted makespan" in out
-        assert "schedule:" in out
-
-    def test_plan_unknown_spec_exits_2(self, results_env, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEPS_DIR", str(results_env / "empty"))
-        assert main(["sched", "plan", "no-such-sweep"]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert model.predict("exp_b", {"n": 3}).source == SOURCE_EXPERIMENT
+        assert model.predict("exp_c", {"n": 4}).seconds == 2.0
+        assert model.predict("exp_c", {"n": 4}).source == SOURCE_POINT
+        assert model.predict("exp_d", cost_class="slow").source == SOURCE_PRIOR
+        assert model.sample_count() == 3
 
 
 class TestAutosplitSizing:

@@ -10,7 +10,6 @@ from repro.eval import sweep as sweep_mod
 from repro.eval.orchestrator import Orchestrator, PointRequest
 from repro.eval.registry import REGISTRY
 from repro.eval.sweep import (
-    SweepSpec,
     expand,
     extract_metric,
     load_spec,

@@ -1,5 +1,5 @@
-"""Cross-cutting property tests: security invariants + the fault-tolerant
-sweep-execution layer (shard partitioning, cache keying, journal codec)."""
+"""Cross-cutting property tests: security invariants, the sweep-execution
+layer (shard partitioning, cache keying) and the job-queue journal codec."""
 
 import json
 import os
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro.cpu.tenanalyzer import TenAnalyzer
 from repro.cpu.tenanalyzer.entry import EntryGeometry, try_merge_geometries
 from repro.eval.cache import cache_key
-from repro.eval.journal import PointRecord, RunJournal, read_journal
+from repro.eval.journal import JOB_STATUSES, JobRecord, RunJournal, read_journal
 from repro.eval.registry import normalize_params
 from repro.eval.sweep import Shard, SweepPoint, shard_points
 from repro.mem.mee import FunctionalMee
@@ -135,37 +135,35 @@ def test_cache_key_is_order_insensitive_and_stable(params, seed, order):
 
 
 _RECORDS = st.builds(
-    PointRecord,
-    label=st.text(min_size=1, max_size=40),
-    experiment=st.text(min_size=1, max_size=20),
-    key=st.text(min_size=1, max_size=20),
-    seed=st.integers(0, 2**32 - 1),
-    status=st.sampled_from(["executed", "cached", "failed"]),
-    params=st.dictionaries(st.text(min_size=1, max_size=8), _SCALARS, max_size=4),
+    JobRecord,
+    job_id=st.text(min_size=1, max_size=40),
+    task=st.sampled_from(["experiment", "sweep", "bench"]),
+    status=st.sampled_from(JOB_STATUSES),
+    spec=st.dictionaries(st.text(min_size=1, max_size=8), _SCALARS, max_size=4),
+    priority=st.integers(-9, 9),
     attempt=st.integers(0, 9),
     elapsed_s=st.floats(0, 1e6, allow_nan=False),
     error=st.one_of(st.none(), st.text(max_size=200)),
     error_type=st.one_of(st.none(), st.text(min_size=1, max_size=30)),
-    quarantined=st.booleans(),
     ts=st.floats(0, 2e9, allow_nan=False),
 )
 
 
 @given(records=st.lists(_RECORDS, max_size=12))
 @settings(max_examples=50, deadline=None)
-def test_journal_roundtrips_arbitrary_point_records(records):
-    """Whatever the orchestrator journals — unicode labels, tracebacks,
-    odd float params — must replay bit-for-bit, and a torn tail must never
-    corrupt the records before it."""
+def test_journal_roundtrips_arbitrary_job_records(records):
+    """Whatever the job queue journals — unicode ids, tracebacks, odd
+    float spec values — must replay bit-for-bit, and a torn tail must
+    never corrupt the records before it."""
     for record in records:
-        assert PointRecord.from_json(record.to_json()) == record
+        assert JobRecord.from_json(record.to_json()) == record
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "journal.jsonl")
-        journal = RunJournal.start(path, {"sweep": "prop", "n_points": len(records)})
+        journal = RunJournal.start(path, {"queue": "prop"})
         for record in records:
-            journal.append(record)
+            journal.append_job(record)
         view = read_journal(path)
-        assert view.records == records
+        assert view.jobs == records
         assert not view.truncated
         # Torn tail: chop the file mid-way through its final line.
         if records:
@@ -174,7 +172,7 @@ def test_journal_roundtrips_arbitrary_point_records(records):
             with open(path, "wb") as f:
                 f.write(data[:-3])
             torn = read_journal(path)
-            assert torn.records == records[:-1]
+            assert torn.jobs == records[:-1]
 
 
 @given(

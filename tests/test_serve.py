@@ -159,17 +159,74 @@ class TestJobJournal:
         assert view.jobs[0] == a
         assert view.last_by_job() == {"a1": b}
         assert not view.jobs[0].terminal and view.jobs[1].terminal
-        assert view.records == []  # job lines are not point records
 
-    def test_mixed_journal_keeps_kinds_apart(self, tmp_path):
-        from repro.eval.journal import PointRecord
-
+    def test_roundtrip_and_resume_marker(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
-        journal = RunJournal.start(path, {})
-        journal.append_job(JobRecord(job_id="j", task="bench", status=JOB_DONE))
-        journal.append(PointRecord(label="p", experiment="e", key="k", seed=0, status="executed"))
+        journal = RunJournal.start(path, {"queue": "q"})
+        a = JobRecord(job_id="a", task="bench", status=JOB_SUBMITTED, ts=1.0)
+        b = JobRecord(job_id="b", task="bench", status=JOB_FAILED, error="boom\n", ts=2.0)
+        journal.append_job(a)
+        journal.append_job(b)
+        RunJournal.attach(path)
         view = read_journal(path)
-        assert len(view.jobs) == 1 and len(view.records) == 1
+        assert view.header["queue"] == "q"
+        assert view.jobs == [a, b]
+        assert view.resumes == 1
+        assert not view.truncated
+
+    def test_torn_tail_is_tolerated(self, tmp_path):
+        path = str(tmp_path / "j.jsonl")
+        journal = RunJournal.start(path, {"queue": "q"})
+        record = JobRecord(job_id="a", task="bench", status=JOB_DONE)
+        journal.append_job(record)
+        with open(path, "a", encoding="utf-8") as f:
+            f.write('{"kind": "job", "job_id": "torn')  # crash mid-write
+        view = read_journal(path)
+        assert view.truncated
+        assert view.jobs == [record]
+
+    def test_attach_after_torn_tail_keeps_later_records_visible(self, tmp_path):
+        # Regression: reopening over a crash-torn final line must not fuse
+        # the partial line with the resume marker — that single garbage
+        # line would hide every later record from the reader.
+        path = str(tmp_path / "j.jsonl")
+        journal = RunJournal.start(path, {"queue": "q"})
+        durable = JobRecord(job_id="ok", task="bench", status=JOB_DONE)
+        journal.append_job(durable)
+        with open(path, "a", encoding="utf-8") as f:
+            f.write('{"kind": "job", "job_id": "torn')  # no newline: torn
+        reopened = RunJournal.attach(path)
+        after = JobRecord(job_id="after", task="bench", status=JOB_SUBMITTED)
+        reopened.append_job(after)
+        view = read_journal(path)
+        assert not view.truncated  # the torn tail was truncated away
+        assert view.resumes == 1
+        assert view.jobs == [durable, after]
+
+    def test_malformed_job_line_is_skipped_not_fatal(self, tmp_path):
+        path = str(tmp_path / "j.jsonl")
+        journal = RunJournal.start(path, {"queue": "q"})
+        good = JobRecord(job_id="good", task="bench", status=JOB_DONE)
+        journal.append_job(good)
+        with open(path, "a", encoding="utf-8") as f:
+            f.write('{"kind": "job", "job_id": "no-required-fields"}\n')
+        journal.append_job(JobRecord(job_id="late", task="bench", status=JOB_DONE))
+        view = read_journal(path)
+        assert view.malformed == 1
+        assert [r.job_id for r in view.jobs] == ["good", "late"]
+
+    def test_missing_journal_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="no journal"):
+            read_journal(str(tmp_path / "absent.jsonl"))
+
+    def test_start_truncates_previous_run(self, tmp_path):
+        path = str(tmp_path / "j.jsonl")
+        journal = RunJournal.start(path, {"queue": "old"})
+        journal.append_job(JobRecord(job_id="a", task="bench", status=JOB_DONE))
+        RunJournal.start(path, {"queue": "new"})
+        view = read_journal(path)
+        assert view.header["queue"] == "new"
+        assert view.jobs == []
 
 
 class TestJobStore:
@@ -331,17 +388,22 @@ class TestPersistentPool:
         assert fresh is not pool and orch._pool_broken is False
         orch.shutdown_pool()
 
-    def test_priority_orders_execution(self, results_env, tmp_path):
-        journal_path = str(tmp_path / "exec.jsonl")
-        journal = RunJournal.start(journal_path, {})
+    def test_priority_orders_execution(self, results_env, temp_experiment):
+        executed = []
+
+        def probe(label: str = "") -> str:
+            executed.append(label)
+            return label
+
+        temp_experiment("prio-probe", probe)
         points = [
-            PointRequest(experiment="table1_config", label="prio/low", priority=0),
-            PointRequest(experiment="table1_config", label="prio/high", priority=5),
-            PointRequest(experiment="table1_config", label="prio/mid", priority=1),
+            PointRequest(
+                experiment="prio-probe", params={"label": label}, label=label, priority=priority
+            )
+            for label, priority in (("prio/low", 0), ("prio/high", 5), ("prio/mid", 1))
         ]
         orch = Orchestrator(jobs=1, use_cache=False, verbose=False)
-        orch.run_points(points, write_manifest=False, save_artifacts=False, journal=journal)
-        executed = [r.label for r in read_journal(journal_path).records]
+        orch.run_points(points, write_manifest=False, save_artifacts=False)
         assert executed == ["prio/high", "prio/mid", "prio/low"]
 
 
@@ -752,23 +814,6 @@ class TestJobsCli:
         assert main(["serve", "--grace", "-1"]) == 2
         assert "--grace" in capsys.readouterr().err
 
-
-class TestSweepStatusNoJournal:
-    def test_exit_3_with_distinct_message(self, results_env, capsys):
-        from repro.cli import EXIT_NO_JOURNAL, main
-
-        code = main(["sweep", "status", "mee_geometry"])
-        assert code == EXIT_NO_JOURNAL == 3
-        err = capsys.readouterr().err
-        assert "no run journal found" in err and "has never run" in err
-
-    def test_incomplete_sweep_still_exits_1(self, results_env, sweeps_env, capsys):
-        from repro.cli import main
-
-        assert main(["sweep", "run", "m22", "--shard", "1/2", "--quiet", "--jobs", "1"]) == 0
-        capsys.readouterr()
-        assert main(["sweep", "status", "m22"]) == 1  # pending points, not exit 3
-        assert "pending" in capsys.readouterr().out
 
 class TestBatchSchema:
     def test_submit_batch_envelope(self):

@@ -27,9 +27,7 @@ from repro.eval.journal import (
 )
 from repro.eval.orchestrator import Orchestrator
 from repro.serve import schema
-from repro.serve.client import ServeClient
 from repro.serve.execution import execute_job
-from repro.serve.server import JobService
 from repro.serve.store import JobStore
 from repro.serve.worker import Worker
 
