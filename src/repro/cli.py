@@ -1,4 +1,4 @@
-"""CLI: ``python -m repro {run,list,clean,bench,sweep,digest,serve,worker,jobs}``.
+"""CLI: ``python -m repro {run,list,clean,sweep,digest,serve,worker,jobs}``.
 
 Examples::
 
@@ -7,8 +7,6 @@ Examples::
     python -m repro run --only fig16_overall,fig17_breakdown --no-cache
     python -m repro run --tag paper --json
     python -m repro clean
-    python -m repro bench --quick
-    python -m repro bench --quick --compare benchmarks/baseline.json --threshold 1.25
     python -m repro sweep list
     python -m repro sweep show mac_policy
     python -m repro sweep run npu_scaling --jobs 4
@@ -23,13 +21,12 @@ Examples::
     python -m repro jobs status <id> / wait <id> / result <id> / cancel <id> / list
 
 See EXPERIMENTS.md for the experiment catalogue, the sweep-spec format,
-the bench JSON schema, and the service wire schema.
+and the service wire schema.
 """
 
 from __future__ import annotations
 
 import argparse
-import datetime
 import hashlib
 import json
 import sys
@@ -96,37 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     cln.add_argument(
         "--keep-cache", action="store_true", help="leave the result cache in place"
     )
-
-    bench = sub.add_parser("bench", help="run the kernel, trace-replay and serve microbenchmarks")
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="smaller problem sizes and fewer repeats (CI smoke mode)",
-    )
-    bench.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="report path (default: BENCH_<timestamp>.json in the cwd)",
-    )
-    bench.add_argument(
-        "--only",
-        action="append",
-        default=[],
-        metavar="NAME[,NAME...]",
-        help="run only these benchmarks (repeatable or comma-separated)",
-    )
-    bench.add_argument(
-        "--tag", action="append", default=[], metavar="TAG[,TAG...]",
-        help="run only benchmarks carrying every given tag",
-    )
-    bench.add_argument(
-        "--compare", metavar="BASELINE", default=None,
-        help="compare medians against a previous BENCH json; regressions exit 1",
-    )
-    bench.add_argument(
-        "--threshold", type=float, default=1.25,
-        help="regression threshold for --compare (default: 1.25x slower)",
-    )
-    bench.add_argument("--list", action="store_true", help="list benchmarks and exit")
-    bench.add_argument("--quiet", "-q", action="store_true", help="no progress lines")
 
     sweep = sub.add_parser("sweep", help="declarative parameter sweeps (sweeps/*.toml)")
     sweep_sub = sweep.add_subparsers(dest="sweep_command", required=True)
@@ -259,17 +225,17 @@ def build_parser() -> argparse.ArgumentParser:
         sub_parser.add_argument("--port", type=int, default=None, help="server port (default: 8765)")
         sub_parser.add_argument("--json", action="store_true", help="machine-readable output")
 
-    jobs_submit = jobs_sub.add_parser("submit", help="submit an experiment/sweep/bench job")
+    jobs_submit = jobs_sub.add_parser("submit", help="submit an experiment or sweep job")
     jobs_submit.add_argument(
         "task",
         nargs="?",
         default=None,
-        choices=("experiment", "sweep", "bench"),
+        choices=("experiment", "sweep"),
         help="what kind of work to enqueue (omit with --batch-file)",
     )
     jobs_submit.add_argument(
         "target", nargs="?", default=None,
-        help="experiment name or sweep spec (bench takes no target)",
+        help="experiment name or sweep spec",
     )
     jobs_submit.add_argument(
         "--params", metavar="JSON", default=None,
@@ -277,17 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     jobs_submit.add_argument("--seed", type=int, default=0, help="experiment run seed")
     jobs_submit.add_argument(
-        "--quick", action="store_true", help="sweep/bench smoke shape (CI sizes)"
+        "--quick", action="store_true", help="sweep smoke shape (CI sizes)"
     )
     jobs_submit.add_argument(
         "--limit", type=int, default=None, metavar="N", help="cap a sweep matrix at N points"
-    )
-    jobs_submit.add_argument(
-        "--only",
-        action="append",
-        default=[],
-        metavar="NAME[,NAME...]",
-        help="bench: run only these benchmarks",
     )
     jobs_submit.add_argument(
         "--shards", type=int, default=None, metavar="N",
@@ -449,56 +408,6 @@ def cmd_clean(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf.harness import compare_reports, run_benchmarks, validate_report
-    from repro.perf.registry import BENCH_REGISTRY
-
-    specs = BENCH_REGISTRY.select(only=_split_names(args.only), tags=_split_names(args.tag))
-    if args.list:
-        width = max((len(s.name) for s in specs), default=0)
-        for spec in specs:
-            print(f"{spec.name:<{width}}  ({','.join(spec.tags)}) {spec.description}")
-        return 0
-    if not specs:
-        print("error: no benchmarks selected", file=sys.stderr)
-        return 2
-    progress = None if args.quiet else lambda line: print(line, flush=True)
-    report = run_benchmarks(specs, quick=args.quick, progress=progress)
-    problems = validate_report(report)
-    if problems:
-        for problem in problems:
-            print(f"error: invalid report: {problem}", file=sys.stderr)
-        return 2
-    path = args.json
-    if path is None:
-        stamp = datetime.datetime.now(datetime.timezone.utc).strftime("%Y%m%dT%H%M%SZ")
-        path = f"BENCH_{stamp}.json"
-    try:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(report, f, indent=2)
-            f.write("\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write report {path!r}: {exc}") from exc
-    if not args.quiet:
-        print(f"report: {path}")
-    if args.compare is not None:
-        try:
-            with open(args.compare, "r", encoding="utf-8") as f:
-                baseline = json.load(f)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read baseline {args.compare!r}: {exc}") from exc
-        lines, regressions = compare_reports(report, baseline, threshold=args.threshold)
-        for line in lines:
-            print(line)
-        if regressions:
-            print(
-                f"{len(regressions)} regression(s) beyond {args.threshold:.2f}x",
-                file=sys.stderr,
-            )
-            return 1
-    return 0
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.eval import sweep as sweep_mod
 
@@ -625,7 +534,6 @@ def _reject_flags(task: str, given: dict) -> None:
 def _submission_payload(args: argparse.Namespace) -> dict:
     """Build the wire submission from `jobs submit` arguments."""
     payload: dict = {"task": args.task, "priority": args.priority}
-    sharding = {"--shards": args.shards is not None, "--shard": args.shard is not None}
     if args.task == "experiment":
         if not args.target:
             raise ConfigError("jobs submit experiment needs an experiment name")
@@ -634,8 +542,8 @@ def _submission_payload(args: argparse.Namespace) -> dict:
             {
                 "--quick": args.quick,
                 "--limit": args.limit is not None,
-                "--only": bool(args.only),
-                **sharding,
+                "--shards": args.shards is not None,
+                "--shard": args.shard is not None,
             },
         )
         params = {}
@@ -647,38 +555,15 @@ def _submission_payload(args: argparse.Namespace) -> dict:
             if not isinstance(params, dict):
                 raise ConfigError(f"--params must be a JSON object, got {args.params!r}")
         payload.update({"experiment": args.target, "params": params, "seed": args.seed})
-    elif args.task == "sweep":
+    else:  # sweep
         if not args.target:
             raise ConfigError("jobs submit sweep needs a spec name")
-        _reject_flags(
-            "sweep",
-            {
-                "--params": args.params is not None,
-                "--seed": args.seed != 0,
-                "--only": bool(args.only),
-            },
-        )
+        _reject_flags("sweep", {"--params": args.params is not None, "--seed": args.seed != 0})
         payload.update({"spec": args.target, "quick": args.quick, "limit": args.limit})
         if args.shards is not None:
             payload["shards"] = args.shards
         if args.shard is not None:
             payload["shard"] = args.shard
-    else:  # bench
-        if args.target:
-            raise ConfigError(
-                f"jobs submit bench takes no target (got {args.target!r}); "
-                "use --only NAME[,NAME...] to subset"
-            )
-        _reject_flags(
-            "bench",
-            {
-                "--params": args.params is not None,
-                "--seed": args.seed != 0,
-                "--limit": args.limit is not None,
-                **sharding,
-            },
-        )
-        payload.update({"quick": args.quick, "only": _split_names(args.only)})
     return payload
 
 
@@ -735,7 +620,6 @@ def _submit_batch(client, args: argparse.Namespace) -> int:
             "--seed": args.seed != 0,
             "--quick": args.quick,
             "--limit": args.limit is not None,
-            "--only": bool(args.only),
             "--shards": args.shards is not None,
             "--shard": args.shard is not None,
             "--priority": args.priority != 0,
@@ -819,7 +703,7 @@ def cmd_jobs(args: argparse.Namespace) -> int:
             return _submit_batch(client, args)
         if args.task is None:
             raise ConfigError(
-                "jobs submit needs a task (experiment, sweep, or bench) or --batch-file"
+                "jobs submit needs a task (experiment or sweep) or --batch-file"
             )
         view = client.submit(_submission_payload(args))
         if args.wait and not serve_schema.view_is_terminal(view):
@@ -946,7 +830,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "run": cmd_run,
         "list": cmd_list,
         "clean": cmd_clean,
-        "bench": cmd_bench,
         "sweep": cmd_sweep,
         "digest": cmd_digest,
         "serve": cmd_serve,

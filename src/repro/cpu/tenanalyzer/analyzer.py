@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.cpu.tenanalyzer.entry import MetaTableEntry, WriteOutcomeKind
 from repro.cpu.tenanalyzer.meta_table import LookupKind, MetaTable
-from repro.cpu.tenanalyzer.tensor_filter import TensorFilter, detect_streams
+from repro.cpu.tenanalyzer.tensor_filter import TensorFilter
 from repro.cpu.tenanalyzer.vn_store import OffChipVnStore
 from repro.errors import ConfigError
 from repro.sim.stats import Stats
@@ -358,37 +358,6 @@ class TenAnalyzer:
         entry = self.table.insert(geometry, vn=vn, source="transfer")
         self.stats.add("transfer_installs")
         return entry
-
-    def prime_from_trace(
-        self,
-        vaddrs: Sequence[int],
-        vns: Optional[Sequence[int]] = None,
-        detect_strides: Optional[bool] = None,
-    ) -> int:
-        """Batch cold-start detection over a recorded miss trace.
-
-        Scans the whole (address, VN) stream for the tensor condition in
-        one pass (:func:`detect_streams`) instead of feeding the Tensor
-        Filter one miss at a time, then installs an entry per detected
-        stream. ``vns=None`` reads the off-chip store.
-        ``detect_strides=None`` follows the filter's ``stride_detect``
-        setting. Returns how many entries were installed.
-        """
-        if not self.enabled:
-            return 0
-        if vns is None:
-            vns = self.vn_store.read_many(vaddrs)
-        if detect_strides is None:
-            detect_strides = self.filter.stride_detect
-        installed = 0
-        for geometry, vn in detect_streams(
-            vaddrs, vns, self.filter.collect_target, detect_strides=detect_strides
-        ):
-            self.table.insert(geometry, vn=vn, source="scan")
-            self.filter.drop_covering(geometry.base_va)
-            installed += 1
-            self.stats.add("trace_primes")
-        return installed
 
     def fold_mac(self, vaddr: int, mac_delta: int) -> bool:
         """XOR a line-MAC delta into the covering entry's tensor MAC.

@@ -11,9 +11,7 @@ tensors concurrently; LRU eviction discards noise streams.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import List, Optional
 
 from repro.cpu.tenanalyzer.entry import MAX_STRIDE_LINES, EntryGeometry
 from repro.errors import ConfigError
@@ -40,107 +38,6 @@ def _stream_geometry(base_va: int, run: int, stride_lines: int) -> EntryGeometry
         count=run,
         extensible_run=False,
     )
-
-
-def _detect_strided(
-    vaddrs: Sequence[int], vns: Sequence[int], min_run: int
-) -> List[tuple[EntryGeometry, int]]:
-    """Maximal constant-stride (arithmetic-progression) run scan.
-
-    A run is a maximal sequence of line-aligned addresses with one locked
-    positive line stride (any multiple of the line size up to
-    :data:`MAX_STRIDE_LINES` — the Meta Table's stride field width) and
-    one shared VN. Alternating-stride patterns (e.g. run-2-skip-6 from a
-    sliced row walk) break into sub-``min_run`` pieces and stay
-    undetected — that is the realistic accuracy degradation the layout
-    sweeps measure. Runs never share elements, so the resulting entries
-    never overlap. State-serial by nature.
-    """
-    total = len(vaddrs)
-    streams: List[tuple[EntryGeometry, int]] = []
-    start = 0
-    locked = 0  # locked byte stride; 0 = not locked yet
-
-    def emit(start: int, stop: int, stride: int) -> bool:
-        run = stop - start
-        if run < min_run or stride == 0:
-            return False
-        streams.append((_stream_geometry(vaddrs[start], run, stride // LINE), vns[start]))
-        return True
-
-    for i in range(1, total + 1):
-        if i < total:
-            diff = vaddrs[i] - vaddrs[i - 1]
-            valid = (
-                diff > 0
-                and diff % LINE == 0
-                and diff // LINE <= MAX_STRIDE_LINES
-                and vns[i] == vns[i - 1]
-            )
-            if valid and (locked == 0 or diff == locked):
-                locked = diff
-                continue
-            if valid:
-                # Stride changed: close the run; the boundary element seeds
-                # the next run only when the closed run was too short to
-                # emit (emitted runs must not overlap the next entry).
-                if emit(start, i, locked):
-                    start = i
-                    locked = 0
-                else:
-                    start = i - 1
-                    locked = diff
-                continue
-        emit(start, i, locked)
-        start = i
-        locked = 0
-    return streams
-
-
-def detect_streams(
-    vaddrs: Sequence[int],
-    vns: Sequence[int],
-    min_run: int = 4,
-    detect_strides: bool = False,
-) -> List[tuple[EntryGeometry, int]]:
-    """Batch tensor-condition scan over a whole (address, VN) trace.
-
-    Finds every maximal run of line-contiguous addresses sharing one VN —
-    the same condition :meth:`TensorFilter.observe` checks one miss at a
-    time — and returns ``(geometry, vn)`` per run of at least ``min_run``
-    lines. The scan reduces to two array diffs.
-
-    ``detect_strides=True`` relaxes the contiguity condition to *any*
-    constant line stride (up to the Meta Table's representable
-    :data:`MAX_STRIDE_LINES`), returning strided geometries for
-    non-unit-stride runs — see :func:`_detect_strided`.
-    """
-    if len(vaddrs) != len(vns):
-        raise ValueError("vaddrs and vns must pair up one per access")
-    total = len(vaddrs)
-    if total == 0:
-        return []
-    if detect_strides:
-        return _detect_strided(vaddrs, vns, min_run)
-
-    def stream(start: int, run: int) -> tuple[EntryGeometry, int]:
-        geometry = EntryGeometry(
-            base_va=vaddrs[start],
-            run_lines=run,
-            stride_lines=run,
-            count=1,
-            extensible_run=True,
-        )
-        return geometry, vns[start]
-
-    va = np.asarray(vaddrs, dtype=np.int64)
-    vn = np.asarray(vns, dtype=np.int64)
-    breaks = np.flatnonzero((np.diff(va) != LINE) | (np.diff(vn) != 0))
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks + 1, [total]))
-    runs = ends - starts
-    keep = np.flatnonzero(runs >= min_run)
-    return [stream(int(starts[i]), int(runs[i])) for i in keep]
 
 
 @dataclass

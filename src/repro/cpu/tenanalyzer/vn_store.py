@@ -9,7 +9,7 @@ always fall back to the off-chip value for uncovered lines.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable
 
 from repro.units import CACHELINE_BYTES
 
@@ -49,12 +49,6 @@ class OffChipVnStore:
                 store[line] = vn
                 changed += 1
         return changed
-
-    def read_many(self, vaddrs: Sequence[int]) -> List[int]:
-        """Current VNs for a whole trace of addresses (batch-scan helper)."""
-        get = self._vn.get
-        line = CACHELINE_BYTES
-        return [get(vaddr - vaddr % line, 0) for vaddr in vaddrs]
 
     def set(self, vaddr: int, vn: int) -> None:
         """Directly set a line's VN (used by transfer-descriptor installs)."""

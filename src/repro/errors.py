@@ -18,12 +18,12 @@ class ConfigError(ReproError):
 
 
 class SchemaVersionError(ConfigError):
-    """A machine-readable artifact (``BENCH_*.json``, ``sweep.json``) was
-    written under a different schema version than this reader expects.
+    """A machine-readable artifact (``sweep.json``) was written under a
+    different schema version than this reader expects.
 
     Raised by :func:`repro.schema.check_schema_version` instead of letting
-    stale documents surface as KeyErrors deep in a comparison; the CLI
-    maps it (like every ConfigError) to exit code 2.
+    stale documents surface as KeyErrors deep in a merge; the CLI maps it
+    (like every ConfigError) to exit code 2.
     """
 
     def __init__(self, message: str, expected: int, found: object) -> None:

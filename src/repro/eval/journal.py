@@ -57,15 +57,15 @@ CRASH_EXIT_CODE = 17
 class JobRecord:
     """One journaled queue-job state transition (``repro serve``).
 
-    A job wraps a whole orchestrator invocation (an experiment, a sweep,
-    or a bench run) rather than a single point; ``spec`` is the canonical
+    A job wraps a whole orchestrator invocation (an experiment or a
+    sweep) rather than a single point; ``spec`` is the canonical
     submission payload and ``fingerprint`` its content hash under the
     current source digest, which is what duplicate-submission cache hits
     key on.
     """
 
     job_id: str
-    task: str  #: "experiment" | "sweep" | "bench"
+    task: str  #: "experiment" | "sweep"
     status: str  #: one of JOB_STATUSES
     spec: Dict[str, Any] = field(default_factory=dict)
     priority: int = 0  #: higher runs first; FIFO within a priority

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
-from repro.units import CACHELINE_BYTES, gb_per_s
+from repro.units import gb_per_s
 
 
 @dataclass(frozen=True)
@@ -86,8 +86,3 @@ def gddr5_npu() -> DramTimingModel:
         row_miss_factor=2.0,
         stream_efficiency=0.9,
     )
-
-
-def bytes_per_line() -> int:
-    """Convenience: the data payload of one transaction."""
-    return CACHELINE_BYTES

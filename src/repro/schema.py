@@ -1,11 +1,11 @@
 """Versioning for machine-readable artifact documents.
 
-``BENCH_*.json`` (:mod:`repro.perf.harness`) and ``sweep.json``
-(:mod:`repro.eval.sweep`) carry an explicit ``schema_version`` field.
-Writers stamp it; every reader calls :func:`check_schema_version` before
-touching any other key, so an artifact recorded under an older layout
-fails with a clear :class:`repro.errors.SchemaVersionError` (CLI exit 2)
-instead of a KeyError from the middle of a comparison.
+``sweep.json`` (:mod:`repro.eval.sweep`) carries an explicit
+``schema_version`` field. Writers stamp it; every reader calls
+:func:`check_schema_version` before touching any other key, so an
+artifact recorded under an older layout fails with a clear
+:class:`repro.errors.SchemaVersionError` (CLI exit 2) instead of a
+KeyError from the middle of a merge.
 
 Documents written before the field existed carried the same number under
 ``schema``; the check accepts that spelling as a fallback so the error
@@ -32,9 +32,8 @@ def check_schema_version(
 ) -> None:
     """Refuse ``document`` unless it declares schema version ``expected``.
 
-    ``what`` names the artifact in the error ("bench baseline", "shard
-    sweep document ..."); ``refresh_hint`` tells the operator how to
-    re-record it.
+    ``what`` names the artifact in the error ("shard sweep document
+    ..."); ``refresh_hint`` tells the operator how to re-record it.
     """
     found = schema_version_of(document)
     if found == expected:

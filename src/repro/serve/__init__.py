@@ -1,6 +1,6 @@
 """``repro serve`` — a persistent job-queue service over the orchestrator.
 
-Submissions (experiments, sweeps, bench runs) arrive over a localhost
+Submissions (experiments and sweeps) arrive over a localhost
 HTTP JSON API, are journaled into a durable on-disk queue, and execute
 on one long-lived process pool with the content-hash result cache as the
 serving layer — duplicate submissions come back ``cached`` immediately.

@@ -37,8 +37,6 @@ def execute_job(
         return _execute_experiment(spec, orchestrator, priority)
     if task == schema.TASK_SWEEP:
         return _execute_sweep(spec, orchestrator)
-    if task == schema.TASK_BENCH:
-        return _execute_bench(spec)
     raise ValueError(f"unknown job task {task!r}")
 
 
@@ -97,14 +95,3 @@ def _execute_sweep(spec: Dict[str, Any], orchestrator: Orchestrator) -> Outcome:
     failed = [r for r in outcome.report.runs if r.status == STATUS_FAILED]
     return False, result, failed[0].error, failed[0].error_type
 
-
-def _execute_bench(spec: Dict[str, Any]) -> Outcome:
-    from repro.perf.harness import run_benchmarks, validate_report
-    from repro.perf.registry import BENCH_REGISTRY
-
-    specs = BENCH_REGISTRY.select(only=spec["only"])
-    report = run_benchmarks(specs, quick=spec["quick"], progress=None)
-    problems = validate_report(report)
-    if problems:
-        return False, None, "invalid bench report: " + "; ".join(problems), "ValueError"
-    return True, {"task": schema.TASK_BENCH, "cached": False, "report": report}, None, None

@@ -38,8 +38,6 @@ A *submission* body names a task and its arguments::
      "params": {...}, "seed": 0, "priority": 0}
     {"task": "sweep", "spec": "mee_geometry", "quick": true,
      "limit": null, "priority": 0, "shards": 3}
-    {"task": "bench", "quick": true, "only": ["crypto.aes_blocks"],
-     "priority": 0}
 
 A sweep submission may fan out: ``shards: N`` (or the server's
 ``--autosplit`` default) splits the matrix into N deterministic
@@ -79,8 +77,7 @@ DEFAULT_PORT = 8765
 
 TASK_EXPERIMENT = "experiment"
 TASK_SWEEP = "sweep"
-TASK_BENCH = "bench"
-TASKS = (TASK_EXPERIMENT, TASK_SWEEP, TASK_BENCH)
+TASKS = (TASK_EXPERIMENT, TASK_SWEEP)
 
 #: Lease length a worker gets when its claim names none (seconds).
 DEFAULT_LEASE_TTL = 60.0
@@ -183,19 +180,6 @@ def validate_submission(payload: Any, autosplit: int = 1) -> Tuple[Dict[str, Any
                 width = min(width, len(expand(sweep_spec, quick=spec["quick"], limit=limit)))
             if width > 1:
                 spec["shards"] = width
-    else:  # TASK_BENCH
-        known |= {"quick", "only"}
-        from repro.perf.registry import BENCH_REGISTRY
-
-        only = payload.get("only")
-        if only is not None:
-            if not isinstance(only, list) or not all(isinstance(n, str) for n in only):
-                raise ConfigError(f"'only' must be a list of benchmark names, got {only!r}")
-            only = sorted(only)
-            if not BENCH_REGISTRY.select(only=only):
-                raise ConfigError(f"'only' selects no benchmarks: {only}")
-        spec["quick"] = _require_bool(payload.get("quick", True), "quick")
-        spec["only"] = only
     unknown = sorted(set(payload) - known)
     if unknown:
         raise ConfigError(f"unknown submission field(s) {unknown} for task {task!r}")

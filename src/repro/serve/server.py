@@ -358,8 +358,8 @@ class JobService:
 
         Experiments probe the content-hash result cache directly (hitting
         results computed by ``repro run`` or earlier jobs alike); sweeps
-        and bench runs are served from the newest completed job with the
-        same fingerprint.
+        are served from the newest completed job with the same
+        fingerprint.
         """
         if spec["task"] == schema.TASK_EXPERIMENT:
             name = spec["experiment"]

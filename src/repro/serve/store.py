@@ -2,13 +2,14 @@
 
 The queue has no in-memory-only state: every transition —
 ``submitted -> running -> done | failed``, or ``submitted ->
-cancelled`` — is appended to ``jobs.jsonl`` as one fsynced
-:class:`~repro.eval.journal.JobRecord` line (the same append/fsync/torn-
-tail discipline as the sweep run journal), and the newest record per job
-id *is* the job's state. Killing the server at any instant therefore
-loses at most the line being written; reopening the store replays the
-journal and :meth:`JobStore.recover` re-enqueues whatever a dead server
-left ``running``. The journal is compacted down to its
+cancelled`` — is appended to ``jobs.jsonl`` as one
+:class:`~repro.eval.journal.JobRecord` line that counts as written only
+once it is flushed and fsynced, and the newest record per job id *is*
+the job's state. :func:`~repro.eval.journal.read_journal` tolerates a
+torn final line, so killing the server at any instant loses at most the
+line being written; reopening the store replays the journal and
+:meth:`JobStore.recover` re-enqueues whatever a dead server left
+``running``. The journal is compacted down to its
 newest-record-per-job snapshot both at recovery time and online — once
 the live file exceeds a record threshold (``compact_records``) with at
 least half its lines superseded — so ``jobs.jsonl`` stays bounded by
@@ -616,8 +617,8 @@ class JobStore:
         """The newest successfully completed job with this fingerprint.
 
         This is the duplicate-submission fast path for tasks the result
-        cache cannot answer point-wise (whole sweeps, bench reports): the
-        prior job's terminal payload is served as the cache hit.
+        cache cannot answer point-wise (whole sweeps): the prior job's
+        terminal payload is served as the cache hit.
         """
         with self._lock:
             matches = [

@@ -450,9 +450,6 @@ class AttentionHead:
     v: TensorDesc
     o: TensorDesc
 
-    def all_views(self) -> Tuple[TensorDesc, ...]:
-        return (self.q, self.k, self.v, self.o)
-
 
 @dataclass
 class AttentionTensors:
@@ -464,9 +461,6 @@ class AttentionTensors:
     v: TensorDesc
     o: TensorDesc
     heads: List[AttentionHead]
-
-    def storage_tensors(self) -> Tuple[TensorDesc, ...]:
-        return (self.q, self.k, self.v, self.o)
 
 
 def build_attention_tensors(
@@ -583,10 +577,3 @@ def attention_batch(
             cursors[t] += 1
             remaining -= 1
     return TraceBatch.from_columns(vaddr, kind, thread_col, tensor_id)
-
-
-def attention_trace(
-    tensors: AttentionTensors, config: AttentionConfig
-) -> List[MemAccess]:
-    """Object view of :func:`attention_batch`."""
-    return attention_batch(tensors, config).to_accesses()

@@ -12,8 +12,7 @@ them bit for bit:
   over it;
 - :mod:`oracles.traces` — the per-access Adam, tiled-GEMM and blockwise
   attention generators;
-- :mod:`oracles.pipeline` — the event-driven Fig. 13 pipeline timing;
-- :mod:`oracles.streams` — the serial tensor-condition scan.
+- :mod:`oracles.pipeline` — the event-driven Fig. 13 pipeline timing.
 
 Where the reference already is a per-element production API (AES
 ``encrypt_block``, ``keystream``/``encrypt_line``, MEE

@@ -314,11 +314,9 @@ class TestSubmissionSchema:
         }
         assert priority == 3
 
-    def test_sweep_and_bench_canonicalized(self, results_env, sweeps_env):
+    def test_sweep_canonicalized(self, results_env, sweeps_env):
         spec, _ = schema.validate_submission({"task": "sweep", "spec": "m22"})
         assert spec == {"task": "sweep", "spec": "m22", "quick": False, "limit": None}
-        spec, _ = schema.validate_submission({"task": "bench", "only": ["crypto.mac_fold"]})
-        assert spec == {"task": "bench", "quick": True, "only": ["crypto.mac_fold"]}
 
     @pytest.mark.parametrize(
         "payload, match",
@@ -343,9 +341,10 @@ class TestSubmissionSchema:
             ({"task": "sweep", "spec": "no-such-sweep"}, "no sweep spec"),
             ({"task": "sweep", "spec": "m22", "limit": 0}, "'limit' must be positive"),
             ({"task": "sweep", "spec": "m22", "quick": 1}, "'quick' must be a boolean"),
-            ({"task": "bench", "only": "crypto.mac_fold"}, "must be a list"),
-            ({"task": "bench", "only": ["nope"]}, "unknown benchmark"),
-            ({"task": "bench", "priority": None}, "'priority' must be an integer"),
+            (
+                {"task": "experiment", "experiment": "table1_config", "priority": None},
+                "'priority' must be an integer",
+            ),
         ],
     )
     def test_rejected_submissions(self, results_env, sweeps_env, payload, match):
@@ -453,14 +452,6 @@ class TestServiceEndToEnd:
         again = client.submit({"task": "sweep", "spec": "m22"})
         assert again["status"] == JOB_DONE and again["cached"] is True
         assert client.result(again["id"])["result"]["document"] == document
-
-    def test_bench_job(self, service):
-        svc, client = service()
-        view = client.submit({"task": "bench", "only": ["crypto.mac_fold"], "quick": True})
-        view = client.wait(view["id"], timeout=240)
-        assert view["status"] == JOB_DONE
-        report = client.result(view["id"])["result"]["report"]
-        assert [b["name"] for b in report["benchmarks"]] == ["crypto.mac_fold"]
 
     def test_cancel_and_http_errors(self, service):
         svc, client = service(start_executor=False)
@@ -707,8 +698,6 @@ class TestJobsCli:
         assert "needs an experiment name" in capsys.readouterr().err
         assert main(["jobs", "submit", "sweep"]) == 2
         assert "needs a spec name" in capsys.readouterr().err
-        assert main(["jobs", "submit", "bench", "oops"]) == 2
-        assert "takes no target" in capsys.readouterr().err
 
     def test_inapplicable_flags_are_exit_2(self, results_env, capsys):
         from repro.cli import main
@@ -717,7 +706,7 @@ class TestJobsCli:
         assert "does not take --seed" in capsys.readouterr().err
         assert main(["jobs", "submit", "experiment", "table1_config", "--quick"]) == 2
         assert "does not take --quick" in capsys.readouterr().err
-        assert main(["jobs", "submit", "bench", "--limit", "3"]) == 2
+        assert main(["jobs", "submit", "experiment", "table1_config", "--limit", "3"]) == 2
         assert "does not take --limit" in capsys.readouterr().err
 
     def test_submit_wait_status_result_list(self, service, capsys):
@@ -878,13 +867,13 @@ class TestBatchEndpoints:
         assert fresh.requests == 2
         assert [v["id"] for v in views] == [v["id"] for v in answer["jobs"]]
 
-    def test_duplicate_fingerprints_in_batch_are_cached(self, service):
+    def test_duplicate_fingerprints_in_batch_are_cached(self, service, sweeps_env):
         svc, client = service(start_executor=False)
-        body = {"task": "bench", "only": ["crypto.mac_fold"], "quick": True}
+        body = {"task": "sweep", "spec": "m22"}
         first = client.submit(dict(body))
         claim = client.claim(worker="w1", lease_ttl=60.0)
         assert claim["job"]["id"] == first["id"]
-        client.complete(first["id"], "w1", ok=True, result={"task": "bench", "report": {}})
+        client.complete(first["id"], "w1", ok=True, result={"task": "sweep", "document": {}})
         answer = client.submit_batch(
             [dict(body), {"task": "experiment", "experiment": "table1_config"}, dict(body)]
         )
@@ -1130,39 +1119,6 @@ class TestLiveCompaction:
         assert {v["id"] for v in listing["jobs"]} == ids
 
 
-class TestServeLoadBenches:
-    def test_family_is_registered(self):
-        from repro.perf.registry import BENCH_REGISTRY
-
-        names = [s.name for s in BENCH_REGISTRY.select(tags=["serve"])]
-        assert names == [
-            "serve.submit_unique",
-            "serve.submit_cached",
-            "serve.submit_batch",
-            "serve.status_batch",
-            "serve.claim_cycle",
-            "serve.mixed_load",
-        ]
-
-    def test_submit_batch_bench_quick(self, results_env):
-        from repro.perf.harness import run_spec
-        from repro.perf.registry import BENCH_REGISTRY
-
-        record = run_spec(BENCH_REGISTRY.get("serve.submit_batch"), quick=True)
-        assert record["items"] == 16
-        assert record["modes"]["vector"]["throughput_items_per_s"] > 0
-        assert record["speedup"] is None
-
-    def test_claim_cycle_bench_reports_latency(self, results_env):
-        from repro.perf.harness import run_spec
-        from repro.perf.registry import BENCH_REGISTRY
-
-        record = run_spec(BENCH_REGISTRY.get("serve.claim_cycle"), quick=True)
-        latency = record["extra"]["claim_latency"]
-        assert latency["samples"] > 0
-        assert 0 < latency["p50_s"] <= latency["p90_s"]
-
-
 class TestJobsCliBatch:
     def test_batch_file_array_and_jsonl(self, service, tmp_path, capsys):
         from repro.cli import main
@@ -1199,8 +1155,8 @@ class TestJobsCliBatch:
         svc, _ = service(start_executor=False)
         port = str(svc.port)
         batch = tmp_path / "b.json"
-        batch.write_text('[{"task": "bench"}]')
-        code = main(["jobs", "submit", "bench", "--batch-file", str(batch), "--port", port])
+        batch.write_text('[{"task": "sweep"}]')
+        code = main(["jobs", "submit", "sweep", "--batch-file", str(batch), "--port", port])
         assert code == 2
         assert "no positional task" in capsys.readouterr().err
         code = main(["jobs", "submit", "--batch-file", str(batch), "--seed", "7", "--port", port])
@@ -1213,7 +1169,7 @@ class TestJobsCliBatch:
         assert main(["jobs", "submit", "--batch-file", str(empty), "--port", port]) == 2
         assert "is empty" in capsys.readouterr().err
         torn = tmp_path / "torn.jsonl"
-        torn.write_text('{"task": "bench"}\n{oops\n')
+        torn.write_text('{"task": "sweep"}\n{oops\n')
         assert main(["jobs", "submit", "--batch-file", str(torn), "--port", port]) == 2
         assert "line 2" in capsys.readouterr().err
 

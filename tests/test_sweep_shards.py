@@ -14,7 +14,7 @@ import os
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SchemaVersionError
 from repro.eval import sweep as sweep_mod
 from repro.eval.orchestrator import Orchestrator, PointRequest
 from repro.eval.registry import REGISTRY, ExperimentRegistry, experiment
@@ -237,6 +237,26 @@ class TestShardMerge:
     def test_merge_without_shards_is_config_error(self, results_env):
         with pytest.raises(ConfigError, match="no shard runs"):
             merge_shards(spec_from_dict(MAC_2X2), verbose=False)
+
+    def test_merge_refuses_stale_schema_shard(self, results_env, tmp_path, capsys):
+        from repro.cli import main
+
+        spec = spec_from_dict(MAC_2X2)
+        paths = [
+            run_sweep(spec, jobs=1, verbose=False, shard=Shard(k, 2)).json_path for k in (1, 2)
+        ]
+        with open(paths[0], encoding="utf-8") as f:
+            document = json.load(f)
+        document.update(schema_version=1, schema=1)
+        with open(paths[0], "w", encoding="utf-8") as f:
+            json.dump(document, f)
+        with pytest.raises(SchemaVersionError) as excinfo:
+            merge_shards(spec, verbose=False)
+        assert (excinfo.value.found, excinfo.value.expected) == (1, 2)
+        toml_path = tmp_path / "m22.toml"
+        toml_path.write_text(MAC_2X2_TOML, encoding="utf-8")
+        assert main(["sweep", "merge", str(toml_path), "-q"]) == 2
+        assert "schema version 1" in capsys.readouterr().err
 
 
 class TestRerun:
