@@ -10,14 +10,12 @@ Examples::
     python -m repro sweep list
     python -m repro sweep show mac_policy
     python -m repro sweep run npu_scaling --jobs 4
-    python -m repro sweep run npu_scaling --shard 1/2
-    python -m repro sweep merge npu_scaling
     python -m repro digest --check benchmarks/artifact_digests.json
     python -m repro serve --port 8765 --workers 4
-    python -m repro serve --external-only --autosplit 3
+    python -m repro serve --external-only
     python -m repro worker --server 127.0.0.1:8765 --lease-ttl 60 --once
     python -m repro jobs submit experiment fig16_overall --wait
-    python -m repro jobs submit sweep mee_geometry --quick --shards 3
+    python -m repro jobs submit sweep mee_geometry --quick
     python -m repro jobs status <id> / wait <id> / result <id> / cancel <id> / list
 
 See EXPERIMENTS.md for the experiment catalogue, the sweep-spec format,
@@ -116,11 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cap the expanded matrix at its first N points",
     )
     sweep_run.add_argument(
-        "--shard", metavar="K/N", default=None,
-        help="run only the K-th of N deterministic matrix slices "
-        "(consolidate with `sweep merge`)",
-    )
-    sweep_run.add_argument(
         "--json", action="store_true",
         help="print the consolidated sweep document to stdout",
     )
@@ -133,15 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_show.add_argument("spec", help="spec name under sweeps/ or a TOML path")
     sweep_show.add_argument("--quick", action="store_true", help="apply the --quick truncation")
     sweep_show.add_argument("--json", action="store_true", help="machine-readable matrix")
-
-    sweep_merge = sweep_sub.add_parser(
-        "merge", help="consolidate per-shard runs into sweep.json + sweep.csv"
-    )
-    sweep_merge.add_argument("spec", help="spec name under sweeps/ or a TOML path")
-    sweep_merge.add_argument(
-        "--json", action="store_true", help="print the merged document to stdout"
-    )
-    sweep_merge.add_argument("--quiet", "-q", action="store_true", help="no progress lines")
 
     serve = sub.add_parser(
         "serve", help="persistent job-queue service over the orchestrator"
@@ -168,18 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--external-only", action="store_true",
         help="never execute jobs in-process; only `repro worker` processes "
-        "drain the queue (the server still merges sweep fan-outs)",
-    )
-    serve.add_argument(
-        "--autosplit", type=int, default=1, metavar="N",
-        help="fan sweep submissions out into N shard jobs by default "
-        "(clamped to the matrix size; default: 1 = no fan-out)",
-    )
-    serve.add_argument(
-        "--autosplit-min-seconds", type=float, default=0.0, metavar="SECONDS",
-        help="size server-default fan-outs off the learned cost model: "
-        "shrink the --autosplit width until every shard job carries at "
-        "least this much predicted work (default: 0 = fixed width)",
+        "drain the queue",
     )
     serve.add_argument("--quiet", "-q", action="store_true", help="no request/job lines")
 
@@ -247,14 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     jobs_submit.add_argument(
         "--limit", type=int, default=None, metavar="N", help="cap a sweep matrix at N points"
-    )
-    jobs_submit.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="sweep: fan out into N shard jobs a worker fleet work-steals",
-    )
-    jobs_submit.add_argument(
-        "--shard", metavar="K/N", default=None,
-        help="sweep: submit only slice K of N (see `sweep run --shard`)",
     )
     jobs_submit.add_argument(
         "--priority", type=int, default=0, help="higher runs first (default: 0)"
@@ -442,17 +407,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return 0
 
     spec = sweep_mod.load_spec(args.spec)
-    if args.sweep_command == "merge":
-        document, json_path, csv_path = sweep_mod.merge_shards(
-            spec, verbose=not (args.quiet or args.json)
-        )
-        if args.json:
-            json.dump(document, sys.stdout, indent=2)
-            sys.stdout.write("\n")
-        elif not args.quiet:
-            print(f"sweep: {json_path}\ncsv:   {csv_path}")
-        return 0 if document["counts"]["failed"] == 0 else 1
-
     if args.sweep_command == "show":
         points = sweep_mod.expand(spec, quick=args.quick)
         if args.json:
@@ -480,7 +434,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         quick=args.quick,
         limit=args.limit,
         verbose=not (args.quiet or args.json),
-        shard=sweep_mod.parse_shard(args.shard) if args.shard else None,
     )
     if args.json:
         json.dump(result.document(), sys.stdout, indent=2)
@@ -542,8 +495,6 @@ def _submission_payload(args: argparse.Namespace) -> dict:
             {
                 "--quick": args.quick,
                 "--limit": args.limit is not None,
-                "--shards": args.shards is not None,
-                "--shard": args.shard is not None,
             },
         )
         params = {}
@@ -560,10 +511,6 @@ def _submission_payload(args: argparse.Namespace) -> dict:
             raise ConfigError("jobs submit sweep needs a spec name")
         _reject_flags("sweep", {"--params": args.params is not None, "--seed": args.seed != 0})
         payload.update({"spec": args.target, "quick": args.quick, "limit": args.limit})
-        if args.shards is not None:
-            payload["shards"] = args.shards
-        if args.shard is not None:
-            payload["shard"] = args.shard
     return payload
 
 
@@ -620,8 +567,6 @@ def _submit_batch(client, args: argparse.Namespace) -> int:
             "--seed": args.seed != 0,
             "--quick": args.quick,
             "--limit": args.limit is not None,
-            "--shards": args.shards is not None,
-            "--shard": args.shard is not None,
             "--priority": args.priority != 0,
         },
     )

@@ -17,19 +17,16 @@ class ConfigError(ReproError):
     """A configuration value is inconsistent or out of the modelled range."""
 
 
-class SchemaVersionError(ConfigError):
-    """A machine-readable artifact (``sweep.json``) was written under a
-    different schema version than this reader expects.
+class UnknownJobError(ConfigError):
+    """A ``repro serve`` request named a job id the queue does not hold."""
 
-    Raised by :func:`repro.schema.check_schema_version` instead of letting
-    stale documents surface as KeyErrors deep in a merge; the CLI maps it
-    (like every ConfigError) to exit code 2.
+
+class JobConflictError(ConfigError):
+    """A queue transition the job's current state refuses.
+
+    For example a cancel of a job that already started, or a heartbeat or
+    completion from a worker that lost its lease.
     """
-
-    def __init__(self, message: str, expected: int, found: object) -> None:
-        super().__init__(message)
-        self.expected = expected
-        self.found = found
 
 
 class ServiceError(ReproError):

@@ -3,12 +3,13 @@
 Every manifest this repo writes already records the true ``elapsed_s``
 of every experiment point, so predicted cost does not have to be guessed
 from a static class: :class:`CostModel` ingests that history
-(``results/manifest.json`` plus every sweep and shard ``manifest.json``)
-and predicts seconds for an (experiment, params) point. The estimate
-resolution order is:
+(``results/manifest.json`` plus every sweep ``manifest.json``) and
+predicts seconds for an (experiment, params) point: the median of the
+newest :data:`DEFAULT_WINDOW` samples of the most specific history that
+has any. The resolution order is:
 
 1. **point-history** — samples recorded for this exact experiment at
-   these exact normalized params (median by default, EWMA optional);
+   these exact normalized params;
 2. **experiment-history** — samples for the same experiment at any
    params (a new matrix point of a known experiment);
 3. **prior** — the static cost-class priors
@@ -16,9 +17,8 @@ resolution order is:
    experiment has never run here.
 
 The model is deliberately simple and deterministic: for a fixed results
-tree it always produces the same predictions. Consumers:
-``Orchestrator._execute`` (longest-predicted-first ordering) and
-``serve --autosplit-min-seconds``.
+tree it always produces the same predictions. Its consumer is
+``Orchestrator._execute`` (longest-predicted-first ordering).
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.errors import ConfigError
-from repro.eval.registry import COST_CLASSES, normalize_params
+from repro.eval.registry import normalize_params
 from repro.eval.tables import results_dir
 
 #: Manifest row statuses that carry a real timing sample (mirrors the
@@ -53,8 +52,6 @@ SOURCE_PRIOR = "prior"
 #: Newest samples kept per key; older history beyond the window is
 #: ignored so a sped-up implementation stops paying for ancient timings.
 DEFAULT_WINDOW = 16
-
-_ESTIMATORS = ("median", "ewma")
 
 
 def params_key(params: Optional[Mapping[str, Any]]) -> str:
@@ -79,27 +76,7 @@ class CostModel:
     fall from the exact point to the experiment to the static prior.
     """
 
-    def __init__(
-        self,
-        priors: Optional[Mapping[str, float]] = None,
-        estimator: str = "median",
-        ewma_alpha: float = 0.5,
-        window: int = DEFAULT_WINDOW,
-    ) -> None:
-        if estimator not in _ESTIMATORS:
-            raise ConfigError(f"cost estimator must be one of {_ESTIMATORS}, got {estimator!r}")
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ConfigError(f"ewma_alpha must be in (0, 1], got {ewma_alpha}")
-        if window < 1:
-            raise ConfigError(f"window must be >= 1, got {window}")
-        self.priors = dict(STATIC_PRIORS)
-        self.priors.update(priors or {})
-        missing = sorted(set(COST_CLASSES) - set(self.priors))
-        if missing:
-            raise ConfigError(f"priors missing cost class(es) {missing}")
-        self.estimator = estimator
-        self.ewma_alpha = ewma_alpha
-        self.window = window
+    def __init__(self) -> None:
         self._point: Dict[Tuple[str, str], List[Tuple[float, float]]] = {}
         self._experiment: Dict[str, List[Tuple[float, float]]] = {}
 
@@ -132,17 +109,13 @@ class CostModel:
     # Prediction
 
     def _estimate(self, samples: List[Tuple[float, float]]) -> float:
-        ordered = [v for _, v in sorted(samples)][-self.window :]
-        if self.estimator == "median":
-            return float(statistics.median(ordered))
-        value = ordered[0]
-        for sample in ordered[1:]:
-            value = self.ewma_alpha * sample + (1.0 - self.ewma_alpha) * value
-        return float(value)
+        """Median of the newest :data:`DEFAULT_WINDOW` samples."""
+        ordered = [v for _, v in sorted(samples)][-DEFAULT_WINDOW:]
+        return float(statistics.median(ordered))
 
     def prior(self, cost_class: str) -> float:
         """The static prior for a cost class (unknown classes -> fast)."""
-        return self.priors.get(cost_class, self.priors["fast"])
+        return STATIC_PRIORS.get(cost_class, STATIC_PRIORS["fast"])
 
     def predict(
         self,
@@ -188,20 +161,17 @@ class CostModel:
         return count
 
     @classmethod
-    def from_results(cls, root: Optional[str] = None, **kwargs: Any) -> "CostModel":
+    def from_results(cls, root: Optional[str] = None) -> "CostModel":
         """Build a model from every manifest under the results tree.
 
-        Scans ``manifest.json`` plus every sweep and shard
-        ``manifest.json``. Unreadable or torn files are skipped — history
-        is advisory, and a half-written manifest must never fail a run.
+        Scans ``manifest.json`` plus every sweep ``manifest.json``.
+        Unreadable or torn files are skipped — history is advisory, and a
+        half-written manifest must never fail a run.
         """
-        model = cls(**kwargs)
+        model = cls()
         root = root or results_dir()
         paths = [os.path.join(root, "manifest.json")]
         paths.extend(sorted(glob.glob(os.path.join(root, "sweeps", "*", "manifest.json"))))
-        paths.extend(
-            sorted(glob.glob(os.path.join(root, "sweeps", "*", "shards", "*", "manifest.json")))
-        )
         for path in paths:
             try:
                 model.ingest_manifest(path)

@@ -82,8 +82,6 @@ class JobRecord:
     lease_ttl: float = 0.0  #: lease length granted at claim (0 = no lease)
     lease_expires_at: float = 0.0  #: wall-clock lease expiry (0 = no lease)
     tags: List[str] = field(default_factory=list)  #: routing tags (worker capabilities)
-    parent: str = ""  #: fan-out parent job id (sweep shard jobs)
-    children: List[str] = field(default_factory=list)  #: shard job ids (fan-out parents)
 
     def to_json(self) -> dict:
         payload: Dict[str, Any] = {"kind": KIND_JOB, "schema": JOURNAL_SCHEMA}

@@ -76,7 +76,6 @@ class PointRequest:
     experiment: str
     params: Dict[str, Any] = field(default_factory=dict)
     label: Optional[str] = None
-    priority: int = 0  #: higher schedules first (service jobs set it)
 
     @property
     def display(self) -> str:
@@ -131,7 +130,6 @@ class _Job:
     run: ExperimentRun
     overrides: Dict[str, Any]
     save_artifact: bool = True
-    priority: int = 0
 
 
 @dataclass
@@ -348,14 +346,7 @@ class Orchestrator:
             else:
                 if self.use_cache:
                     stats.add("cache.misses")
-                pending.append(
-                    _Job(
-                        run=run,
-                        overrides=overrides,
-                        save_artifact=save_artifacts,
-                        priority=point.priority,
-                    )
-                )
+                pending.append(_Job(run=run, overrides=overrides, save_artifact=save_artifacts))
 
         if pending:
             self._execute(pending, cache, stats)
@@ -391,13 +382,11 @@ class Orchestrator:
         cache: result_cache.ResultCache,
         stats: Stats,
     ) -> None:
-        # Higher-priority jobs first, then longest-predicted first so the
-        # pool's tail is short. Prediction comes from recorded manifest
-        # history and falls back to the static slow > medium > fast
-        # priors, so even a history-free run orders all three cost classes
-        # instead of the old binary slow/not-slow sort that let "medium"
-        # points schedule dead last.
-        ordered = sorted(pending, key=lambda j: (-j.priority, -self._predicted_s(j.run)))
+        # Longest-predicted first so the pool's tail is short. Prediction
+        # comes from recorded manifest history and falls back to the
+        # static slow > medium > fast priors, so even a history-free run
+        # orders all three cost classes.
+        ordered = sorted(pending, key=lambda j: -self._predicted_s(j.run))
         if self.jobs == 1 or (len(pending) == 1 and not self.persistent_pool):
             for job in ordered:
                 self._finish(job, *self._run_inline(job), cache, stats)

@@ -31,9 +31,7 @@ per point: axis values, status, metrics).
 
 A sweep that failed or was interrupted is finished by running it again:
 every point that completed was stored, fsynced, in the result cache and
-replays from there, so only the missing points execute. ``--shard K/N``
-runs one deterministic slice of the matrix and :func:`merge_shards`
-consolidates the slices.
+replays from there, so only the missing points execute.
 
 An axis ``param`` may use a dotted path (``config.meta_table_capacity``)
 to sweep one field of a dataclass-typed parameter; the remaining fields
@@ -54,26 +52,14 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
-from repro.eval.orchestrator import (
-    STATUS_CACHED,
-    STATUS_EXECUTED,
-    STATUS_FAILED,
-    Orchestrator,
-    PointRequest,
-    RunReport,
-)
+from repro.eval.orchestrator import STATUS_CACHED, Orchestrator, PointRequest, RunReport
 from repro.eval.metrics import extract_metric
 from repro.eval.registry import REGISTRY, ExperimentSpec, normalize_params
 from repro.eval.tables import ascii_table, results_dir
-from repro.schema import check_schema_version
 
 #: ``sweep.json`` layout version; bump on breaking changes.
-#: 1 -> 2: explicit ``schema_version`` field (readers refuse other versions
-#: via :func:`repro.schema.check_schema_version` instead of KeyError-ing).
+#: 1 -> 2: explicit ``schema_version`` field.
 SWEEP_SCHEMA = 2
-
-#: How to re-record a sweep document that fails the version check.
-_SWEEP_REFRESH_HINT = "Re-run the sweep (`python -m repro sweep run <name>`)."
 
 MODE_GRID = "grid"
 MODE_ZIP = "zip"
@@ -133,45 +119,6 @@ class SweepPoint:
     point_id: str  #: "granule_bytes=64,policy=eager" (axis order)
     coords: Dict[str, Any]  #: axis param (full dotted path) -> value
     params: Dict[str, Any]  #: resolved ``run()`` keyword overrides
-
-
-@dataclass(frozen=True)
-class Shard:
-    """One slice of a sweep matrix: shard ``index`` of ``count`` (1-based)."""
-
-    index: int
-    count: int
-
-    @property
-    def tag(self) -> str:
-        """Directory name of this shard's output tree, e.g. ``1of4``."""
-        return f"{self.index}of{self.count}"
-
-    def as_dict(self) -> dict:
-        return {"index": self.index, "count": self.count}
-
-
-def parse_shard(text: str) -> Shard:
-    """Parse a CLI ``K/N`` shard selector (1-based, ``1 <= K <= N``)."""
-    match = re.match(r"^(\d+)/(\d+)$", text.strip())
-    if not match:
-        raise ConfigError(f"shard must look like K/N (e.g. 2/4), got {text!r}")
-    index, count = int(match.group(1)), int(match.group(2))
-    if count < 1 or not 1 <= index <= count:
-        raise ConfigError(f"shard index must satisfy 1 <= K <= N, got {index}/{count}")
-    return Shard(index=index, count=count)
-
-
-def shard_points(points: Sequence[SweepPoint], shard: Optional[Shard]) -> List[SweepPoint]:
-    """Deterministic round-robin partition of the expanded matrix.
-
-    Point ``i`` belongs to shard ``(i % count) + 1``; the partition is a
-    pure function of the expansion order, so any machine expanding the
-    same spec computes the same disjoint, complete slices.
-    """
-    if shard is None:
-        return list(points)
-    return [p for p in points if p.index % shard.count == shard.index - 1]
 
 
 # -- spec construction --------------------------------------------------------
@@ -290,8 +237,7 @@ def _validate_spec_params(spec: SweepSpec) -> None:
 def sweeps_dir() -> str:
     """The directory spec files live in (repo-level ``sweeps/``).
 
-    ``REPRO_SWEEPS_DIR`` overrides it — tests and CI shards point it at
-    scratch trees.
+    ``REPRO_SWEEPS_DIR`` overrides it — tests point it at scratch trees.
     """
     override = os.environ.get("REPRO_SWEEPS_DIR")
     if override:
@@ -433,7 +379,6 @@ class SweepResult:
     axes: Tuple[Axis, ...] = ()
     quick: bool = False
     limit: Optional[int] = None
-    shard: Optional[Shard] = None
     json_path: Optional[str] = None
     csv_path: Optional[str] = None
 
@@ -471,12 +416,6 @@ class SweepResult:
 
     def document(self) -> dict:
         """The full ``sweep.json`` payload."""
-        document = self._document_base()
-        if self.shard is not None:
-            document["shard"] = self.shard.as_dict()
-        return document
-
-    def _document_base(self) -> dict:
         return {
             "schema_version": SWEEP_SCHEMA,
             "schema": SWEEP_SCHEMA,  # legacy spelling kept for older tooling
@@ -522,55 +461,36 @@ class SweepResult:
 
     def write(self) -> Tuple[str, str]:
         """Persist ``sweep.json`` + ``sweep.csv``; returns their paths."""
-        self.json_path, self.csv_path = write_outputs(self.out_dir, self.document())
+        document = self.document()
+        os.makedirs(self.out_dir, exist_ok=True)
+        self.json_path = os.path.join(self.out_dir, "sweep.json")
+        tmp = self.json_path + ".tmp"
+        with open(tmp, "w", encoding="utf-8") as f:
+            json.dump(document, f, indent=2)
+            f.write("\n")
+        os.replace(tmp, self.json_path)
+        self.csv_path = os.path.join(self.out_dir, "sweep.csv")
+        with open(self.csv_path, "w", encoding="utf-8", newline="") as f:
+            writer = csv.writer(f)
+            header = ["point"] + [a.short for a in self.axes]
+            header += ["status", "cached", "elapsed_s"]
+            header += [m.name for m in self.spec.metrics]
+            writer.writerow(header)
+            for record in document["points"]:
+                row: List[Any] = [record["point"]]
+                row += [record["coords"][a.param] for a in self.axes]
+                row += [record["status"], record["cached"], record["elapsed_s"]]
+                row += [record["metrics"].get(m.name) for m in self.spec.metrics]
+                writer.writerow(row)
         return self.json_path, self.csv_path
 
 
-def write_outputs(out_dir: str, document: dict) -> Tuple[str, str]:
-    """Write a sweep document as ``sweep.json`` + ``sweep.csv``.
-
-    Operates purely on the consolidated document so the live run path and
-    ``sweep merge`` produce byte-identical layouts for identical content.
-    """
-    os.makedirs(out_dir, exist_ok=True)
-    json_path = os.path.join(out_dir, "sweep.json")
-    tmp = json_path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        json.dump(document, f, indent=2)
-        f.write("\n")
-    os.replace(tmp, json_path)
-    csv_path = os.path.join(out_dir, "sweep.csv")
-    axis_params = [a["param"] for a in document["axes"]]
-    metric_names = [m["name"] for m in document["metrics"]]
-    with open(csv_path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        header = ["point"] + [p.rpartition(".")[2] for p in axis_params]
-        header += ["status", "cached", "elapsed_s"]
-        header += metric_names
-        writer.writerow(header)
-        for record in document["points"]:
-            row: List[Any] = [record["point"]]
-            row += [record["coords"][p] for p in axis_params]
-            row += [record["status"], record["cached"], record["elapsed_s"]]
-            row += [record["metrics"].get(name) for name in metric_names]
-            writer.writerow(row)
-    return json_path, csv_path
-
-
 #: Top-level document keys that vary run to run without the swept content
-#: changing (timing, scheduling environment, shard bookkeeping).
-VOLATILE_DOCUMENT_KEYS = (
-    "generated_at",
-    "wall_s",
-    "jobs",
-    "cache_enabled",
-    "counts",
-    "shard",
-    "shards",
-)
+#: changing (timing, scheduling environment).
+VOLATILE_DOCUMENT_KEYS = ("generated_at", "wall_s", "jobs", "cache_enabled", "counts")
 
-#: Per-point keys that vary between an executed and a cache-replayed (or
-#: merged) instance of the same result.
+#: Per-point keys that vary between an executed and a cache-replayed
+#: instance of the same result.
 VOLATILE_POINT_KEYS = ("status", "cached", "elapsed_s", "artifact")
 
 
@@ -578,9 +498,8 @@ def canonical_document(document: dict) -> dict:
     """The run-invariant content view of a sweep document.
 
     Strips timing, scheduling, and path fields so that an uninterrupted
-    run, an interrupted run finished by a plain re-run, and a shard-merged
-    run of the same matrix compare equal — the property the re-run and
-    shard tests assert.
+    run and an interrupted run finished by a plain re-run of the same
+    matrix compare equal — the property the re-run test asserts.
     """
     view = {k: v for k, v in document.items() if k not in VOLATILE_DOCUMENT_KEYS}
     view["points"] = [
@@ -601,12 +520,9 @@ def point_label(sweep_name: str, point_id: str) -> str:
     return f"sweeps/{sweep_name}/points/{point_id}"
 
 
-def sweep_dir(sweep_name: str, shard: Optional[Shard] = None) -> str:
-    """Output tree of a sweep run (a shard gets its own subtree)."""
-    base = os.path.join(results_dir(), "sweeps", sweep_name)
-    if shard is None:
-        return base
-    return os.path.join(base, "shards", shard.tag)
+def sweep_dir(sweep_name: str) -> str:
+    """Output tree of a sweep run."""
+    return os.path.join(results_dir(), "sweeps", sweep_name)
 
 
 def run_sweep(
@@ -617,7 +533,6 @@ def run_sweep(
     limit: Optional[int] = None,
     verbose: bool = True,
     write: bool = True,
-    shard: Optional[Shard] = None,
     orchestrator: Optional[Orchestrator] = None,
 ) -> SweepResult:
     """Expand ``spec`` and run every point through the orchestrator.
@@ -627,9 +542,7 @@ def run_sweep(
     a failed or interrupted sweep executes only the points that did not
     complete. Each point's rendered artifact lands under
     ``results/sweeps/<name>/points/`` and the per-point manifest next to
-    the consolidated ``sweep.json``. ``shard`` restricts the run to a
-    deterministic slice of the matrix (consolidate with
-    :func:`merge_shards`).
+    the consolidated ``sweep.json``.
 
     ``orchestrator`` is the service (sweep-as-job) entry: pass a live
     :class:`Orchestrator` — typically one holding a persistent worker
@@ -640,8 +553,8 @@ def run_sweep(
     """
     if orchestrator is not None:
         orchestrator.run_seed = spec.seed
-    points = shard_points(expand(spec, quick=quick, limit=limit), shard)
-    out_dir = sweep_dir(spec.name, shard)
+    points = expand(spec, quick=quick, limit=limit)
+    out_dir = sweep_dir(spec.name)
     os.makedirs(out_dir, exist_ok=True)
     requests = [
         PointRequest(
@@ -668,172 +581,7 @@ def run_sweep(
         axes=effective_axes(spec, quick=quick),
         quick=quick,
         limit=limit,
-        shard=shard,
     )
     if write:
         result.write()
     return result
-
-
-# -- shard merge --------------------------------------------------------------
-
-
-def _uniform(docs: List[dict], key: str, context: str) -> Any:
-    values = {json.dumps(doc.get(key), sort_keys=True) for doc in docs}
-    if len(values) > 1:
-        raise ConfigError(
-            f"{context}: shards disagree on {key!r} "
-            f"({', '.join(sorted(values))}); re-run them from the same spec and source"
-        )
-    return docs[0].get(key)
-
-
-def merge_shards(
-    spec: SweepSpec, verbose: bool = True, expect_count: Optional[int] = None
-) -> Tuple[dict, str, str]:
-    """Consolidate per-shard runs into the single ``sweep.json`` + CSV.
-
-    Reads every ``shards/*/sweep.json`` under the sweep's output tree,
-    checks the slices are mutually consistent (same spec echo, same
-    source digest, disjoint points) and together cover the full expanded
-    matrix, then writes the consolidated document exactly where an
-    unsharded run would have: ``results/sweeps/<name>/``.
-
-    ``expect_count`` pins the shard width the caller fanned out (the
-    serve layer's merge step passes its child count) so a stale shard
-    tree from an earlier, differently-sized run is refused instead of
-    silently merged.
-    """
-    base = sweep_dir(spec.name)
-    shards_root = os.path.join(base, "shards")
-    if not os.path.isdir(shards_root):
-        raise ConfigError(
-            f"no shard runs under {shards_root}; "
-            f"run `sweep run {spec.name} --shard K/N` first"
-        )
-    context = f"sweep merge {spec.name!r}"
-    docs: List[dict] = []
-    dirs: List[str] = []
-    for entry in sorted(os.listdir(shards_root)):
-        shard_json = os.path.join(shards_root, entry, "sweep.json")
-        if not os.path.isfile(shard_json):
-            raise ConfigError(
-                f"{context}: shard {entry} has no sweep.json — it crashed or is "
-                "still running; finish it by running it again "
-                f"(`sweep run {spec.name} --shard K/N`)"
-            )
-        try:
-            with open(shard_json, "r", encoding="utf-8") as f:
-                doc = json.load(f)
-        except ValueError as exc:
-            raise ConfigError(f"{context}: cannot parse {shard_json!r}: {exc}") from exc
-        if doc.get("kind") != "repro-sweep" or "shard" not in doc:
-            raise ConfigError(f"{context}: {shard_json!r} is not a shard sweep document")
-        check_schema_version(doc, SWEEP_SCHEMA, f"{context}: {shard_json!r}", _SWEEP_REFRESH_HINT)
-        if doc.get("sweep") != spec.name or doc.get("experiment") != spec.experiment:
-            raise ConfigError(
-                f"{context}: {shard_json!r} belongs to sweep "
-                f"{doc.get('sweep')!r}/{doc.get('experiment')!r}"
-            )
-        docs.append(doc)
-        dirs.append(os.path.join(shards_root, entry))
-    counts = {doc["shard"]["count"] for doc in docs}
-    if len(counts) != 1:
-        raise ConfigError(f"{context}: mixed shard counts {sorted(counts)}")
-    count = counts.pop()
-    if expect_count is not None and count != expect_count:
-        raise ConfigError(
-            f"{context}: expected a {expect_count}-way shard tree, found {count}-way; "
-            "a stale tree from an earlier run is in the way"
-        )
-    indices = sorted(doc["shard"]["index"] for doc in docs)
-    if indices != list(range(1, count + 1)):
-        missing = sorted(set(range(1, count + 1)) - set(indices))
-        raise ConfigError(
-            f"{context}: expected shards 1..{count}, have {indices}"
-            + (f"; missing {missing}" if missing else "")
-        )
-    for key in (
-        "mode",
-        "seed",
-        "quick",
-        "limit",
-        "source_digest",
-        "axes",
-        "base",
-        "metrics",
-        "schema",
-        "schema_version",
-    ):
-        _uniform(docs, key, context)
-    quick = bool(docs[0].get("quick"))
-    limit = docs[0].get("limit")
-    expected_ids = [p.point_id for p in expand(spec, quick=quick, limit=limit)]
-    collected: Dict[str, dict] = {}
-    for doc in docs:
-        for record in doc["points"]:
-            if record["point"] in collected:
-                raise ConfigError(
-                    f"{context}: point {record['point']!r} appears in more than one shard"
-                )
-            collected[record["point"]] = record
-    missing = [pid for pid in expected_ids if pid not in collected]
-    extra = sorted(set(collected) - set(expected_ids))
-    if missing or extra:
-        raise ConfigError(
-            f"{context}: shard union does not cover the matrix "
-            f"(missing {missing or 'none'}, extra {extra or 'none'})"
-        )
-    points = [collected[pid] for pid in expected_ids]
-    status_counts = {STATUS_EXECUTED: 0, STATUS_CACHED: 0, STATUS_FAILED: 0}
-    for record in points:
-        status_counts[record["status"]] += 1
-    merged = {
-        key: docs[0][key]
-        for key in (
-            "schema_version",
-            "schema",
-            "kind",
-            "sweep",
-            "experiment",
-            "description",
-            "mode",
-            "seed",
-        )
-    }
-    merged.update(
-        {
-            "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            "jobs": max(doc["jobs"] for doc in docs),
-            "cache_enabled": all(doc["cache_enabled"] for doc in docs),
-            "quick": quick,
-            "limit": limit,
-            "source_digest": docs[0]["source_digest"],
-            "wall_s": round(sum(doc["wall_s"] for doc in docs), 6),
-            "counts": status_counts,
-            "axes": docs[0]["axes"],
-            "base": docs[0]["base"],
-            "metrics": docs[0]["metrics"],
-            "shards": [
-                {
-                    "index": doc["shard"]["index"],
-                    "count": doc["shard"]["count"],
-                    "dir": path,
-                    "counts": doc["counts"],
-                    "wall_s": doc["wall_s"],
-                }
-                for doc, path in sorted(zip(docs, dirs), key=lambda t: t[0]["shard"]["index"])
-            ],
-            "points": points,
-        }
-    )
-    json_path, csv_path = write_outputs(base, merged)
-    if verbose:
-        print(
-            f"merged {count} shard(s), {len(points)} points — "
-            f"{status_counts[STATUS_EXECUTED]} executed, "
-            f"{status_counts[STATUS_CACHED]} cached, "
-            f"{status_counts[STATUS_FAILED]} failed",
-            flush=True,
-        )
-    return merged, json_path, csv_path

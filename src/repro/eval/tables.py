@@ -24,7 +24,7 @@ def results_dir() -> str:
     """The results directory (created on demand).
 
     ``REPRO_RESULTS_DIR`` overrides the default repo-level ``results/`` —
-    the orchestrator's tests and CI shards use it for isolated output trees.
+    the tests and CI's reference runs use it for isolated output trees.
     """
     path = os.environ.get("REPRO_RESULTS_DIR")
     if not path:

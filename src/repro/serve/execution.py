@@ -8,10 +8,6 @@ job produces byte-identical artifacts no matter which process claimed it
 — the orchestrator's content-hash result cache and ``save_result`` do
 all the writing, both of which are atomic (`os.replace`) and therefore
 safe for several workers sharing one results tree.
-
-Sweep specs may carry ``shard: "K/N"`` — the deterministic round-robin
-slice ``sweep run --shard K/N`` executes — which is how a fan-out parent
-spreads a matrix over a worker fleet.
 """
 
 from __future__ import annotations
@@ -25,33 +21,23 @@ from repro.serve import schema
 Outcome = Tuple[bool, Optional[dict], Optional[str], Optional[str]]
 
 
-def execute_job(
-    task: str, spec: Dict[str, Any], orchestrator: Orchestrator, priority: int = 0
-) -> Outcome:
+def execute_job(task: str, spec: Dict[str, Any], orchestrator: Orchestrator) -> Outcome:
     """Run one claimed job to its terminal outcome.
 
     Never raises for a *job* failure — that comes back as ``ok=False``
     plus the traceback; only programming errors escape.
     """
     if task == schema.TASK_EXPERIMENT:
-        return _execute_experiment(spec, orchestrator, priority)
+        return _execute_experiment(spec, orchestrator)
     if task == schema.TASK_SWEEP:
         return _execute_sweep(spec, orchestrator)
     raise ValueError(f"unknown job task {task!r}")
 
 
-def _execute_experiment(
-    spec: Dict[str, Any], orchestrator: Orchestrator, priority: int
-) -> Outcome:
+def _execute_experiment(spec: Dict[str, Any], orchestrator: Orchestrator) -> Outcome:
     orchestrator.run_seed = spec["seed"]
     report = orchestrator.run_points(
-        [
-            PointRequest(
-                experiment=spec["experiment"],
-                params=dict(spec["params"]),
-                priority=priority,
-            )
-        ],
+        [PointRequest(experiment=spec["experiment"], params=dict(spec["params"]))],
         write_manifest=False,
     )
     run = report.runs[0]
@@ -73,14 +59,11 @@ def _execute_experiment(
 def _execute_sweep(spec: Dict[str, Any], orchestrator: Orchestrator) -> Outcome:
     from repro.eval import sweep as sweep_mod
 
-    sweep_spec = sweep_mod.load_spec(spec["spec"])
-    shard = spec.get("shard")
     outcome = sweep_mod.run_sweep(
-        sweep_spec,
+        sweep_mod.load_spec(spec["spec"]),
         quick=spec["quick"],
         limit=spec["limit"],
         verbose=False,
-        shard=None if shard is None else sweep_mod.parse_shard(shard),
         orchestrator=orchestrator,
     )
     result = {

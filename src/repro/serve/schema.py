@@ -37,14 +37,7 @@ A *submission* body names a task and its arguments::
     {"task": "experiment", "experiment": "fig16_overall",
      "params": {...}, "seed": 0, "priority": 0}
     {"task": "sweep", "spec": "mee_geometry", "quick": true,
-     "limit": null, "priority": 0, "shards": 3}
-
-A sweep submission may fan out: ``shards: N`` (or the server's
-``--autosplit`` default) splits the matrix into N deterministic
-round-robin slice jobs — the same partition as ``sweep run --shard K/N``
-— that a worker fleet work-steals independently; the server merges the
-canonical ``sweep.json``/CSV once every shard lands. ``shard: "K/N"``
-instead submits exactly one slice.
+     "limit": null, "priority": 0}
 
 :func:`validate_submission` canonicalizes a body (defaults filled,
 unknown keys rejected, experiment params checked against the registry
@@ -107,7 +100,7 @@ def _require_tags(value: Any, name: str = "tags") -> list:
     return sorted(set(value))
 
 
-def validate_submission(payload: Any, autosplit: int = 1) -> Tuple[Dict[str, Any], int]:
+def validate_submission(payload: Any) -> Tuple[Dict[str, Any], int]:
     """Canonicalize a submission body; returns ``(spec, priority)``.
 
     The canonical spec is a plain JSON-safe dict with every default made
@@ -115,12 +108,6 @@ def validate_submission(payload: Any, autosplit: int = 1) -> Tuple[Dict[str, Any
     ``priority`` rides outside the spec so that submitting the same work
     at a different priority still deduplicates. Any problem raises
     :class:`ConfigError` (the server answers 400; nothing is enqueued).
-
-    ``autosplit`` is the server's default sweep fan-out width: a sweep
-    submission naming neither ``shards`` nor ``shard`` splits into that
-    many slice jobs. The width is clamped to the expanded point count and
-    a resolved width of 1 leaves the spec shard-free, so specs (and
-    therefore fingerprints) of non-fanned sweeps are unchanged.
     """
     if not isinstance(payload, Mapping):
         raise ConfigError(f"submission must be a JSON object, got {type(payload).__name__}")
@@ -146,8 +133,8 @@ def validate_submission(payload: Any, autosplit: int = 1) -> Tuple[Dict[str, Any
         spec["params"] = normalize_params(params)
         spec["seed"] = _require_int(payload.get("seed", 0), "seed")
     elif task == TASK_SWEEP:
-        known |= {"spec", "quick", "limit", "shard", "shards"}
-        from repro.eval.sweep import expand, load_spec, parse_shard
+        known |= {"spec", "quick", "limit"}
+        from repro.eval.sweep import load_spec
 
         name = payload.get("spec")
         if not isinstance(name, str) or not name:
@@ -161,25 +148,6 @@ def validate_submission(payload: Any, autosplit: int = 1) -> Tuple[Dict[str, Any
         spec["spec"] = sweep_spec.name if not name.endswith(".toml") else name
         spec["quick"] = _require_bool(payload.get("quick", False), "quick")
         spec["limit"] = limit
-        shard = payload.get("shard")
-        shards = payload.get("shards")
-        if shard is not None and shards is not None:
-            raise ConfigError("sweep submission takes 'shard' or 'shards', not both")
-        if shard is not None:
-            if not isinstance(shard, str):
-                raise ConfigError(f"'shard' must be a K/N string, got {shard!r}")
-            parsed = parse_shard(shard)
-            if parsed.count > 1:  # 1/1 is the whole matrix: canonically shard-free
-                spec["shard"] = f"{parsed.index}/{parsed.count}"
-        else:
-            width = shards if shards is not None else autosplit
-            width = _require_int(width, "shards")
-            if width < 1:
-                raise ConfigError(f"'shards' must be >= 1, got {width}")
-            if width > 1:
-                width = min(width, len(expand(sweep_spec, quick=spec["quick"], limit=limit)))
-            if width > 1:
-                spec["shards"] = width
     unknown = sorted(set(payload) - known)
     if unknown:
         raise ConfigError(f"unknown submission field(s) {unknown} for task {task!r}")
@@ -243,19 +211,6 @@ def submission_tags(payload: Mapping[str, Any]) -> list:
     spec so they never perturb fingerprints.
     """
     return _require_tags(payload.get("tags"))
-
-
-def shard_specs(spec: Mapping[str, Any]) -> list:
-    """The child slice specs of a fan-out sweep spec.
-
-    Each child is the parent spec with ``shards`` dropped and an explicit
-    ``shard: "K/N"`` slice — exactly what ``sweep run --shard K/N``
-    executes, so shard trees merge with the existing ``sweep merge``
-    machinery.
-    """
-    count = spec.get("shards", 1)
-    base = {k: v for k, v in spec.items() if k != "shards"}
-    return [dict(base, shard=f"{k}/{count}") for k in range(1, count + 1)]
 
 
 def validate_claim(payload: Any) -> Tuple[str, float, list]:
@@ -359,8 +314,6 @@ def job_view(record: JobRecord, result: bool = False) -> Dict[str, Any]:
         "worker": record.worker,
         "lease_expires_at": record.lease_expires_at,
         "tags": list(record.tags),
-        "parent": record.parent,
-        "children": list(record.children),
     }
     if result:
         view["result"] = record.result

@@ -8,26 +8,21 @@ Architecture::
                           ▼
                       JobStore  (fsynced jobs.jsonl — the only state)
                           ▲
-                          │  expire leases / merge fan-outs / claim / finish
+                          │  expire leases / claim / finish
                       supervisor thread ──▶ Orchestrator (persistent pool)
 
 Handler threads only ever touch the store (plus a synchronous result-
 cache probe at submit time). The single supervisor thread does the rest,
-every poll tick: reap expired worker leases (re-enqueue, attempt + 1),
-complete fan-out parents whose shard children all landed (by running
-``sweep merge`` over their trees), and — unless ``--external-only`` —
-claim and run the next job on one long-lived process pool, so the pool's
-warm workers and the content-hash cache are shared across every
-submission. All service state lives in the store's journal: kill the
+every poll tick: reap expired worker leases (re-enqueue, attempt + 1)
+and — unless ``--external-only`` — claim and run the next job on one
+long-lived process pool, so the pool's warm workers and the
+content-hash cache are shared across every submission. All service state lives in the store's journal: kill the
 process at any point and a restart resumes the queue.
 
 Remote ``repro worker`` processes are just another client of the same
 ``/v1`` API: they claim under a lease, heartbeat while executing, and
 report completion; a worker that dies mid-job simply stops heartbeating
-and the supervisor re-enqueues the job once the lease lapses. Sweep
-submissions wider than one shard (``shards: N``, or the server's
-``--autosplit`` default) fan out into N slice jobs the fleet
-work-steals; the server consolidates the canonical ``sweep.json``/CSV.
+and the supervisor re-enqueues the job once the lease lapses.
 
 ``--once`` is the CI mode: the service exits by itself once at least one
 job exists, nothing is queued or running, and no request has arrived for
@@ -45,14 +40,13 @@ import os
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, JobConflictError, UnknownJobError
 from repro.eval import cache as result_cache
-from repro.eval.cost import CostModel
-from repro.eval.journal import JOB_DONE, JOB_FAILED, JOB_SUBMITTED, JobRecord
+from repro.eval.journal import JOB_DONE, JOB_FAILED, JobRecord
 from repro.eval.orchestrator import STATUS_CACHED, Orchestrator, derive_seed, format_error
-from repro.eval.registry import REGISTRY, normalize_params
+from repro.eval.registry import normalize_params
 from repro.eval.tables import save_result
 from repro.serve import schema
 from repro.serve.execution import execute_job
@@ -82,13 +76,7 @@ class JobService:
         verbose: bool = True,
         start_executor: bool = True,
         external_only: bool = False,
-        autosplit: int = 1,
-        autosplit_min_s: float = 0.0,
     ) -> None:
-        if autosplit < 1:
-            raise ConfigError(f"--autosplit must be >= 1, got {autosplit}")
-        if autosplit_min_s < 0:
-            raise ConfigError(f"--autosplit-min-seconds must be >= 0, got {autosplit_min_s}")
         self.store = JobStore(queue_dir)
         self.orchestrator = Orchestrator(jobs=workers, verbose=False, persistent_pool=True)
         self.once = once
@@ -96,12 +84,6 @@ class JobService:
         self.verbose = verbose
         self.start_executor = start_executor
         self.external_only = external_only
-        self.autosplit = autosplit
-        self.autosplit_min_s = autosplit_min_s
-        #: Lazily-built cost model for fan-out sizing; pinned for the
-        #: server's lifetime so a resubmitted sweep resizes identically
-        #: (and therefore fingerprints identically, keeping dedupe hits).
-        self._cost_model: Optional[CostModel] = None
         self.source_digest = result_cache.source_digest()
         self._stop = threading.Event()
         self._failed_jobs = 0
@@ -169,31 +151,11 @@ class JobService:
     # -- submission (handler threads) ------------------------------------------
 
     def submit(self, payload: Any) -> JobRecord:
-        """Validate, cache-probe, and enqueue one submission.
-
-        A sweep spec that resolved to ``shards: N`` fans out: the parent
-        job is journaled alongside one claimable child per slice, unless
-        the whole sweep is already answerable from a completed prior job
-        (then the parent is born terminal like any cache hit).
-        """
-        spec, priority = schema.validate_submission(payload, autosplit=self.autosplit)
-        spec = self._size_fanout(payload, spec)
+        """Validate, cache-probe, and enqueue one submission."""
+        spec, priority = schema.validate_submission(payload)
         tags = schema.submission_tags(payload)
         fp = schema.fingerprint(spec, self.source_digest)
         cached = self._probe_cache(spec, fp)
-        if cached is None and spec.get("shards", 1) > 1:
-            children = [
-                (child, schema.fingerprint(child, self.source_digest))
-                for child in schema.shard_specs(spec)
-            ]
-            record = self.store.submit_fanout(
-                spec, children, priority=priority, fingerprint=fp, tags=tags
-            )
-            self._log(
-                f"job {record.job_id} submitted: {spec['task']} "
-                f"(fan-out into {len(children)} shard jobs)"
-            )
-            return record
         record = self.store.submit(
             spec, priority=priority, fingerprint=fp, cached_result=cached, tags=tags
         )
@@ -203,83 +165,27 @@ class JobService:
         )
         return record
 
-    def _size_fanout(self, payload: Any, spec: Dict[str, Any]) -> Dict[str, Any]:
-        """Right-size a server-default sweep fan-out from the cost model.
-
-        ``--autosplit N`` is a fixed width; with ``--autosplit-min-seconds``
-        the width shrinks until every shard job carries at least that much
-        *predicted* work, so a 4-point quick sweep does not fan out into
-        jobs whose queue/merge overhead dwarfs their points. Only applies
-        to widths the server itself chose — a client that asked for
-        ``shards``/``shard`` explicitly is never second-guessed.
-        """
-        width = spec.get("shards", 1)
-        if width <= 1 or self.autosplit_min_s <= 0:
-            return spec
-        if isinstance(payload, Mapping) and (
-            payload.get("shards") is not None or payload.get("shard") is not None
-        ):
-            return spec
-        from repro.eval.sweep import expand, load_spec
-
-        if self._cost_model is None:
-            self._cost_model = CostModel.from_results()
-        sweep_spec = load_spec(spec["spec"])
-        cost_class = REGISTRY.get(sweep_spec.experiment).cost
-        total = sum(
-            self._cost_model.predict(
-                sweep_spec.experiment, point.params, cost_class=cost_class
-            ).seconds
-            for point in expand(sweep_spec, quick=spec["quick"], limit=spec["limit"])
-        )
-        sized = max(1, min(width, int(total // self.autosplit_min_s)))
-        if sized == width:
-            return spec
-        resized = dict(spec)
-        if sized > 1:
-            resized["shards"] = sized
-        else:
-            resized.pop("shards", None)
-        self._log(
-            f"autosplit resized {width} -> {sized} shard job(s) "
-            f"(predicted {total:.1f}s of work, min {self.autosplit_min_s:.1f}s/shard)"
-        )
-        return resized
-
     def submit_batch(self, payload: Any) -> Dict[str, Any]:
         """Validate, cache-probe, and enqueue a whole submission batch.
 
         Each entry is validated independently: a bad spec becomes an
         ``{"index", "error"}`` entry in the response while its batch
-        mates proceed. Every accepted non-fan-out entry is journaled in
-        one durable batch append (:meth:`JobStore.submit_many` — one
-        fsync, one lock hold, so a concurrent claim sees none or all of
-        them); fan-out sweeps are journaled individually through
-        :meth:`JobStore.submit_fanout`. The response's ``jobs`` list is
-        aligned to the request order.
+        mates proceed. Every accepted entry is journaled in one durable
+        batch append (:meth:`JobStore.submit_many` — one fsync, one lock
+        hold, so a concurrent claim sees none or all of them). The
+        response's ``jobs`` list is aligned to the request order.
         """
         bodies = schema.validate_batch_jobs(payload)
         entries: List[Optional[Dict[str, Any]]] = [None] * len(bodies)
         prepared: List[Tuple[int, Dict[str, Any]]] = []
         for index, body in enumerate(bodies):
             try:
-                spec, priority = schema.validate_submission(body, autosplit=self.autosplit)
-                spec = self._size_fanout(body, spec)
+                spec, priority = schema.validate_submission(body)
                 tags = schema.submission_tags(body)
                 fp = schema.fingerprint(spec, self.source_digest)
                 cached = self._probe_cache(spec, fp)
             except ConfigError as exc:
                 entries[index] = {"index": index, "error": str(exc)}
-                continue
-            if cached is None and spec.get("shards", 1) > 1:
-                children = [
-                    (child, schema.fingerprint(child, self.source_digest))
-                    for child in schema.shard_specs(spec)
-                ]
-                record = self.store.submit_fanout(
-                    spec, children, priority=priority, fingerprint=fp, tags=tags
-                )
-                entries[index] = schema.job_view(record)
                 continue
             prepared.append(
                 (
@@ -325,7 +231,7 @@ class JobService:
             for job_id in ids:
                 try:
                     views.append(schema.job_view(self.store.get(job_id)))
-                except ConfigError as exc:
+                except UnknownJobError as exc:
                     views.append({"id": job_id, "error": str(exc)})
         return {
             "schema": schema.SERVE_SCHEMA,
@@ -390,11 +296,10 @@ class JobService:
     # -- supervision (the executor thread) --------------------------------------
 
     def _executor_loop(self) -> None:
-        """The supervisor tick: reap leases, merge fan-outs, run jobs."""
+        """The supervisor tick: reap leases, run jobs."""
         while not self._stop.is_set():
             try:
                 progressed = self._reap_leases()
-                progressed = self._merge_ready_parents() or progressed
                 if not self.external_only:
                     job = self.store.claim()
                     if job is not None:
@@ -440,76 +345,11 @@ class JobService:
                 )
         return bool(reaped)
 
-    def _merge_ready_parents(self) -> bool:
-        """Complete fan-out parents whose shard children all landed."""
-        merged = False
-        for record in self.store.jobs():
-            if record.status != JOB_SUBMITTED or not record.children:
-                continue
-            children = self.store.children_of(record.job_id)
-            if len(children) < len(record.children) or not all(c.terminal for c in children):
-                continue
-            self.touch()
-            merged = True
-            self.store.begin(record.job_id, worker="server")
-            start = time.perf_counter()
-            failed = [c for c in children if c.status != JOB_DONE]
-            if failed:
-                ok, result = False, None
-                error = (
-                    f"{len(failed)} of {len(children)} shard jobs did not complete "
-                    f"(first: job {failed[0].job_id} {failed[0].status})"
-                    + (f"\n{failed[0].error}" if failed[0].error else "")
-                )
-                error_type = failed[0].error_type or "ShardFailed"
-            else:
-                try:
-                    ok, result, error, error_type = self._merge_parent(record)
-                except Exception as exc:  # a bad merge must not kill the supervisor
-                    ok, result = False, None
-                    error, error_type = format_error(exc), type(exc).__name__
-            if not ok:
-                self._failed_jobs += 1
-            done = self.store.finish(
-                record.job_id,
-                status=JOB_DONE if ok else JOB_FAILED,
-                result=result,
-                error=error,
-                error_type=error_type,
-                elapsed_s=time.perf_counter() - start,
-            )
-            self._log(
-                f"job {done.job_id} {done.status}: merged {len(children)} shard jobs"
-            )
-            self.touch()
-        return merged
-
-    def _merge_parent(
-        self, record: JobRecord
-    ) -> Tuple[bool, Optional[dict], Optional[str], Optional[str]]:
-        from repro.eval import sweep as sweep_mod
-
-        spec = record.spec
-        sweep_spec = sweep_mod.load_spec(spec["spec"])
-        document, json_path, csv_path = sweep_mod.merge_shards(
-            sweep_spec, verbose=False, expect_count=len(record.children)
-        )
-        result = {
-            "task": schema.TASK_SWEEP,
-            "cached": False,
-            "document": document,
-            "json_path": json_path,
-            "csv_path": csv_path,
-        }
-        return True, result, None, None
-
     def _execute(self, job: JobRecord) -> None:
         self._log(f"job {job.job_id} running: {job.task} (priority {job.priority})")
         start = time.perf_counter()
         try:
-            ok, result, error, error_type = execute_job(
-                job.task, job.spec, self.orchestrator, priority=job.priority
-            )
+            ok, result, error, error_type = execute_job(job.task, job.spec, self.orchestrator)
         except Exception as exc:  # a job must never kill the executor
             ok, result = False, None
             error, error_type = format_error(exc), type(exc).__name__
@@ -571,18 +411,21 @@ class _Handler(BaseHTTPRequestHandler):
         return self.rfile.read(length) if length > 0 else b""
 
     def _guarded(self, respond: Any) -> None:
-        """Run one route, mapping failures onto wire-schema errors."""
+        """Run one route, mapping failures onto wire-schema errors.
+
+        The status follows the error's type: 404 for an unknown job, 409
+        for a transition the job's state refuses, 400 for any other
+        :class:`ConfigError` (a bad request).
+        """
         try:
             respond()
         except ConfigError as exc:
-            code = 404 if "unknown job id" in str(exc) else 400
-            message = str(exc)
-            if (
-                "only queued jobs" in message
-                or "not running" in message
-                or "lease" in message
-            ):
+            if isinstance(exc, UnknownJobError):
+                code = 404
+            elif isinstance(exc, JobConflictError):
                 code = 409
+            else:
+                code = 400
             self._send(code, schema.error_body(str(exc)))
         except Exception as exc:  # never drop the connection without a body
             try:
@@ -616,7 +459,6 @@ class _Handler(BaseHTTPRequestHandler):
                     "workers": self.service.orchestrator.jobs,
                     "once": self.service.once,
                     "external_only": self.service.external_only,
-                    "autosplit": self.service.autosplit,
                     "source_digest": self.service.source_digest,
                 },
             )
@@ -707,6 +549,4 @@ def build_service(args: Any) -> JobService:
         verbose=not args.quiet,
         start_executor=os.environ.get("REPRO_SERVE_NO_EXECUTOR") != "1",
         external_only=args.external_only,
-        autosplit=args.autosplit,
-        autosplit_min_s=args.autosplit_min_seconds,
     )

@@ -36,9 +36,9 @@ import os
 import threading
 import time
 import uuid
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, JobConflictError, UnknownJobError
 from repro.eval.journal import (
     CRASH_EXIT_CODE,
     JOB_CANCELLED,
@@ -368,71 +368,6 @@ class JobStore:
             self._maybe_compact()
             return records
 
-    def submit_fanout(
-        self,
-        spec: Dict[str, object],
-        children: Sequence[Tuple[Dict[str, object], str]],
-        priority: int = 0,
-        fingerprint: str = "",
-        tags: Sequence[str] = (),
-    ) -> JobRecord:
-        """Enqueue a fan-out parent plus one child job per shard slice.
-
-        ``children`` is ``[(child_spec, child_fingerprint), ...]``. The
-        parent is journaled first (carrying every child id), then the
-        children (each carrying the parent id); the parent is never
-        claimable — the server completes it by merging once the children
-        are terminal. Returns the parent record.
-        """
-        with self._lock:
-            now = time.time()
-            taken = set(self._jobs)
-
-            def fresh_id() -> str:
-                while True:
-                    job_id = uuid.uuid4().hex[:12]
-                    if job_id not in taken:
-                        taken.add(job_id)
-                        return job_id
-
-            parent_id = fresh_id()
-            child_ids = [fresh_id() for _ in children]
-            parent = JobRecord(
-                job_id=parent_id,
-                task=str(spec["task"]),
-                status=JOB_SUBMITTED,
-                spec=dict(spec),
-                priority=priority,
-                fingerprint=fingerprint,
-                submitted_at=now,
-                ts=now,
-                tags=sorted(tags),
-                children=child_ids,
-            )
-            self._append(parent)
-            for child_id, (child_spec, child_fp) in zip(child_ids, children):
-                self._append(
-                    JobRecord(
-                        job_id=child_id,
-                        task=str(child_spec["task"]),
-                        status=JOB_SUBMITTED,
-                        spec=dict(child_spec),
-                        priority=priority,
-                        fingerprint=child_fp,
-                        submitted_at=now,
-                        ts=now,
-                        tags=sorted(tags),
-                        parent=parent_id,
-                    )
-                )
-            return parent
-
-    def children_of(self, parent_id: str) -> List[JobRecord]:
-        """Current records of a fan-out parent's shard children."""
-        with self._lock:
-            parent = self.get(parent_id)
-            return [self._jobs[cid] for cid in parent.children if cid in self._jobs]
-
     def claim(
         self,
         worker: str = "",
@@ -443,8 +378,7 @@ class JobStore:
 
         "Best" is highest priority first, submission order within a
         priority — the job-priority scheduling the executor drains by.
-        Fan-out parents are never handed out (the server itself merges
-        them). With ``lease_ttl > 0`` the claim journals a lease:
+        With ``lease_ttl > 0`` the claim journals a lease:
         ``worker`` owns the job until ``lease_expires_at``, renewable by
         :meth:`heartbeat`. ``tags`` is the claimer's capability set —
         ``None`` (the in-process executor) matches every job; a worker's
@@ -456,7 +390,6 @@ class JobStore:
                 r
                 for r in self._jobs.values()
                 if r.status == JOB_SUBMITTED
-                and not r.children
                 and (offered is None or set(r.tags) <= offered)
             ]
             if not pending:
@@ -474,45 +407,22 @@ class JobStore:
             self._append(running)
             return running
 
-    def begin(self, job_id: str, worker: str = "") -> JobRecord:
-        """Move one specific queued job to ``running`` (no lease).
-
-        The server's own path for work it executes in-process — notably
-        a fan-out parent entering its merge step.
-        """
-        with self._lock:
-            record = self.get(job_id)
-            if record.status != JOB_SUBMITTED:
-                raise ConfigError(
-                    f"job {job_id} is {record.status!r}; only queued jobs can start"
-                )
-            running = dataclasses.replace(
-                record,
-                status=JOB_RUNNING,
-                worker=worker,
-                lease_ttl=0.0,
-                lease_expires_at=0.0,
-                ts=time.time(),
-            )
-            self._append(running)
-            return running
-
     def heartbeat(self, job_id: str, worker: str) -> JobRecord:
         """Renew a worker's lease; the refreshed record is journaled.
 
-        Refused (with "lease" in the message, which the server maps to a
-        409) once the lease is lost — the job expired back to the queue,
+        Refused with :class:`JobConflictError` (the server answers 409)
+        once the lease is lost — the job expired back to the queue,
         finished, or is held by someone else.
         """
         with self._lock:
             record = self.get(job_id)
             if record.status != JOB_RUNNING or record.worker != worker:
-                raise ConfigError(
+                raise JobConflictError(
                     f"job {job_id} lease lost: it is {record.status!r}"
                     + (f" under worker {record.worker!r}" if record.worker else "")
                 )
             if record.lease_ttl <= 0:
-                raise ConfigError(f"job {job_id} holds no lease to heartbeat")
+                raise JobConflictError(f"job {job_id} holds no lease to heartbeat")
             now = time.time()
             fresh = dataclasses.replace(
                 record, lease_expires_at=now + record.lease_ttl, ts=now
@@ -540,11 +450,11 @@ class JobStore:
         with self._lock:
             record = self.get(job_id)
             if record.status != JOB_RUNNING:
-                raise ConfigError(
+                raise JobConflictError(
                     f"job {job_id} is {record.status!r}, not running; cannot finish it"
                 )
             if worker is not None and record.worker != worker:
-                raise ConfigError(
+                raise JobConflictError(
                     f"job {job_id} lease lost: it is held by {record.worker!r}, "
                     f"not {worker!r}"
                 )
@@ -568,7 +478,7 @@ class JobStore:
         with self._lock:
             record = self.get(job_id)
             if record.status != JOB_SUBMITTED:
-                raise ConfigError(
+                raise JobConflictError(
                     f"job {job_id} is {record.status!r}; only queued jobs can be cancelled"
                 )
             cancelled = dataclasses.replace(record, status=JOB_CANCELLED, ts=time.time())
@@ -580,7 +490,7 @@ class JobStore:
         with self._lock:
             record = self._jobs.get(job_id)
             if record is None:
-                raise ConfigError(f"unknown job id {job_id!r}")
+                raise UnknownJobError(f"unknown job id {job_id!r}")
             return record
 
     def jobs(self) -> List[JobRecord]:

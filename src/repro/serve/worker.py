@@ -154,7 +154,7 @@ class Worker:
                 # reach execution, so a test can SIGKILL us mid-lease.
                 time.sleep(hold)
             ok, result, error, error_type = execute_job(
-                view["task"], dict(view["spec"]), self.orchestrator, priority=view["priority"]
+                view["task"], dict(view["spec"]), self.orchestrator
             )
         except Exception as exc:  # a job must never kill the worker loop
             ok, result = False, None

@@ -1,5 +1,5 @@
-"""Cross-cutting property tests: security invariants, the sweep-execution
-layer (shard partitioning, cache keying) and the job-queue journal codec."""
+"""Cross-cutting property tests: security invariants, result-cache keying
+and the job-queue journal codec."""
 
 import json
 import os
@@ -13,7 +13,6 @@ from repro.cpu.tenanalyzer.entry import EntryGeometry, try_merge_geometries
 from repro.eval.cache import cache_key
 from repro.eval.journal import JOB_STATUSES, JobRecord, RunJournal, read_journal
 from repro.eval.registry import normalize_params
-from repro.eval.sweep import Shard, SweepPoint, shard_points
 from repro.mem.mee import FunctionalMee
 from repro.sim.trace import AccessKind, MemAccess
 from repro.tensor.registry import TensorRegistry
@@ -64,34 +63,7 @@ def test_merge_never_fabricates_coverage(base_a, run_a, base_b, run_b):
     assert set(merged.covered_lines()) == cover_a | cover_b
 
 
-# -- fault-tolerant sweep execution -------------------------------------------
-
-
-def _points(n: int):
-    return [SweepPoint(index=i, point_id=f"p{i}", coords={}, params={}) for i in range(n)]
-
-
-@given(n_points=st.integers(0, 200), count=st.integers(1, 12))
-@settings(max_examples=100, deadline=None)
-def test_shard_partition_disjoint_complete_deterministic(n_points, count):
-    """Shards are a partition: disjoint, complete, order-preserving, and a
-    pure function of (matrix, K, N)."""
-    points = _points(n_points)
-    shards = [shard_points(points, Shard(k, count)) for k in range(1, count + 1)]
-    indexes = [[p.index for p in shard] for shard in shards]
-    # Complete and disjoint: every point lands in exactly one shard.
-    flat = [i for shard in indexes for i in shard]
-    assert sorted(flat) == list(range(n_points))
-    # Order-preserving within a shard (scheduling order is stable).
-    assert all(shard == sorted(shard) for shard in indexes)
-    # Deterministic: re-partitioning yields the identical slices.
-    assert indexes == [
-        [p.index for p in shard_points(points, Shard(k, count))]
-        for k in range(1, count + 1)
-    ]
-    # Balanced: round-robin shard sizes differ by at most one point.
-    sizes = [len(shard) for shard in indexes]
-    assert max(sizes) - min(sizes) <= 1
+# -- result-cache keying and the job journal ----------------------------------
 
 
 _SCALARS = st.one_of(

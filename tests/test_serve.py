@@ -345,6 +345,8 @@ class TestSubmissionSchema:
                 {"task": "experiment", "experiment": "table1_config", "priority": None},
                 "'priority' must be an integer",
             ),
+            ({"task": "sweep", "spec": "m22", "shards": 2}, "unknown submission field"),
+            ({"task": "sweep", "spec": "m22", "shard": "1/2"}, "unknown submission field"),
         ],
     )
     def test_rejected_submissions(self, results_env, sweeps_env, payload, match):
@@ -387,24 +389,6 @@ class TestPersistentPool:
         assert fresh is not pool and orch._pool_broken is False
         orch.shutdown_pool()
 
-    def test_priority_orders_execution(self, results_env, temp_experiment):
-        executed = []
-
-        def probe(label: str = "") -> str:
-            executed.append(label)
-            return label
-
-        temp_experiment("prio-probe", probe)
-        points = [
-            PointRequest(
-                experiment="prio-probe", params={"label": label}, label=label, priority=priority
-            )
-            for label, priority in (("prio/low", 0), ("prio/high", 5), ("prio/mid", 1))
-        ]
-        orch = Orchestrator(jobs=1, use_cache=False, verbose=False)
-        orch.run_points(points, write_manifest=False, save_artifacts=False)
-        assert executed == ["prio/high", "prio/mid", "prio/low"]
-
 
 class TestServiceEndToEnd:
     def test_experiment_roundtrip_and_cache_hit(self, service):
@@ -441,7 +425,16 @@ class TestServiceEndToEnd:
         result = client.result(view["id"])
         assert result["status"] == JOB_FAILED and result["result"] is None
 
-    def test_sweep_job_and_fingerprint_dedup(self, service, sweeps_env):
+    def test_sweep_job_and_fingerprint_dedup(self, results_env, service, sweeps_env, monkeypatch):
+        from repro.eval import sweep as sweep_mod
+
+        # Reference: the same sweep run directly, in a separate results tree.
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(results_env / "reference"))
+        reference = sweep_mod.run_sweep(
+            sweep_mod.load_spec("m22"), jobs=1, verbose=False
+        ).document()
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(results_env))
+
         svc, client = service()
         view = client.submit({"task": "sweep", "spec": "m22", "quick": False})
         view = client.wait(view["id"], timeout=240)
@@ -449,6 +442,7 @@ class TestServiceEndToEnd:
         document = client.result(view["id"])["result"]["document"]
         assert len(document["points"]) == 4
         assert document["counts"]["failed"] == 0
+        assert sweep_mod.canonical_document(document) == sweep_mod.canonical_document(reference)
         again = client.submit({"task": "sweep", "spec": "m22"})
         assert again["status"] == JOB_DONE and again["cached"] is True
         assert client.result(again["id"])["result"]["document"] == document
@@ -470,6 +464,16 @@ class TestServiceEndToEnd:
         with pytest.raises(ServiceError) as excinfo:
             client.submit({"task": "mystery"})
         assert excinfo.value.status == 400
+        # Bad requests are 400 by error type, even when the message says
+        # "lease" (as "release_notes" and "lease_probe" do).
+        for request in (
+            lambda: client.claim("w", lease_ttl=-1),
+            lambda: client.submit({"task": "sweep", "spec": "release_notes"}),
+            lambda: client.submit({"task": "experiment", "experiment": "lease_probe"}),
+        ):
+            with pytest.raises(ServiceError) as excinfo:
+                request()
+            assert excinfo.value.status == 400
         with pytest.raises(ServiceError) as excinfo:
             client._request("GET", "/nowhere")
         assert excinfo.value.status == 404
@@ -883,19 +887,6 @@ class TestBatchEndpoints:
         assert dup_b["cached"] is True and dup_b["status"] == JOB_DONE
         assert unique["cached"] is False and unique["status"] == JOB_SUBMITTED
         assert client.result(dup_a["id"])["result"]["cached"] is True
-
-    def test_batch_sweep_entry_fans_out(self, service, sweeps_env):
-        svc, client = service(start_executor=False)
-        answer = client.submit_batch(
-            [
-                {"task": "sweep", "spec": "m22", "shards": 2},
-                {"task": "experiment", "experiment": "table1_config"},
-            ]
-        )
-        assert answer["accepted"] == 2
-        parent = answer["jobs"][0]
-        assert len(parent["children"]) == 2
-        assert svc.store.total() == 4  # parent + 2 shard children + experiment
 
     def test_status_batch_ids_all_and_unknown(self, service):
         svc, client = service(start_executor=False)

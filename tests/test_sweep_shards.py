@@ -1,10 +1,10 @@
-"""Sweep shards and merge, re-runs that finish a stopped sweep, failures.
+"""Re-runs that finish a stopped sweep, failures, and the digest file.
 
 A sweep that stopped early is finished by running it again: the points
-it completed replay from the fsynced result cache. Both that re-run and
-``--shard`` + ``merge`` must reproduce the uninterrupted run's
-``sweep.json``/``sweep.csv`` modulo timing fields. A failed point fails
-its run with the worker traceback, without stopping its siblings.
+it completed replay from the fsynced result cache, and the re-run must
+reproduce the uninterrupted run's ``sweep.json``/``sweep.csv`` modulo
+timing fields. A failed point fails its run with the worker traceback,
+without stopping its siblings.
 """
 
 import csv
@@ -14,19 +14,9 @@ import os
 
 import pytest
 
-from repro.errors import ConfigError, SchemaVersionError
-from repro.eval import sweep as sweep_mod
 from repro.eval.orchestrator import Orchestrator, PointRequest
 from repro.eval.registry import REGISTRY, ExperimentRegistry, experiment
-from repro.eval.sweep import (
-    Shard,
-    canonical_document,
-    merge_shards,
-    parse_shard,
-    run_sweep,
-    shard_points,
-    spec_from_dict,
-)
+from repro.eval.sweep import canonical_document, run_sweep, spec_from_dict
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -40,24 +30,6 @@ MAC_2X2 = {
     ],
     "metrics": [{"name": "perf", "path": "perf_overhead"}],
 }
-
-MAC_2X2_TOML = """
-[sweep]
-name = "m22"
-experiment = "mac_policy"
-
-[[sweep.axes]]
-param = "granule_bytes"
-values = [64, 256]
-
-[[sweep.axes]]
-param = "policy"
-values = ["eager", "delayed"]
-
-[[sweep.metrics]]
-name = "perf"
-path = "perf_overhead"
-"""
 
 
 @pytest.fixture
@@ -171,94 +143,6 @@ class TestErrorCapture:
         assert {row["name"] for row in manifest["experiments"]} == {"p/die", "p/fine"}
 
 
-class TestShardPartition:
-    def test_parse_shard(self):
-        assert parse_shard("2/4") == Shard(index=2, count=4)
-        for bad in ("0/4", "5/4", "a/b", "1", "1/0", "-1/2"):
-            with pytest.raises(ConfigError):
-                parse_shard(bad)
-
-    def test_round_robin_slices(self):
-        points = sweep_mod.expand(spec_from_dict(MAC_2X2))
-        one = shard_points(points, Shard(1, 2))
-        two = shard_points(points, Shard(2, 2))
-        assert [p.index for p in one] == [0, 2]
-        assert [p.index for p in two] == [1, 3]
-        assert shard_points(points, None) == points
-
-    def test_more_shards_than_points_allows_empty(self, results_env):
-        points = sweep_mod.expand(spec_from_dict(MAC_2X2))
-        assert shard_points(points, Shard(6, 8)) == []
-
-
-class TestShardMerge:
-    def run_reference(self, monkeypatch, tmp_path):
-        ref_dir = tmp_path / "reference"
-        monkeypatch.setenv("REPRO_RESULTS_DIR", str(ref_dir))
-        spec = spec_from_dict(MAC_2X2)
-        result = run_sweep(spec, jobs=1, verbose=False)
-        document = json.load(open(result.json_path))
-        rows = canonical_csv(result.csv_path)
-        return document, rows
-
-    def test_two_shards_merge_equals_single_run(self, tmp_path, monkeypatch):
-        ref_doc, ref_rows = self.run_reference(monkeypatch, tmp_path)
-        shard_dir = tmp_path / "sharded"
-        monkeypatch.setenv("REPRO_RESULTS_DIR", str(shard_dir))
-        spec = spec_from_dict(MAC_2X2)
-        for k in (1, 2):
-            result = run_sweep(spec, jobs=1, verbose=False, shard=Shard(k, 2))
-            shard_doc = json.load(open(result.json_path))
-            assert shard_doc["shard"] == {"index": k, "count": 2}
-            assert len(shard_doc["points"]) == 2
-        merged, json_path, csv_path = merge_shards(spec, verbose=False)
-        assert json_path == str(shard_dir / "sweeps" / "m22" / "sweep.json")
-        written = json.load(open(json_path))
-        assert written == merged
-        assert canonical_document(written) == canonical_document(ref_doc)
-        assert canonical_csv(csv_path) == ref_rows
-        assert [s["index"] for s in written["shards"]] == [1, 2]
-        assert written["counts"] == {"executed": 4, "cached": 0, "failed": 0}
-
-    def test_merge_refuses_incomplete_coverage(self, results_env):
-        spec = spec_from_dict(MAC_2X2)
-        run_sweep(spec, jobs=1, verbose=False, shard=Shard(1, 2))
-        with pytest.raises(ConfigError, match="expected shards 1..2"):
-            merge_shards(spec, verbose=False)
-
-    def test_merge_refuses_crashed_shard(self, results_env):
-        spec = spec_from_dict(MAC_2X2)
-        run_sweep(spec, jobs=1, verbose=False, shard=Shard(1, 2))
-        # Shard 2 "crashed": its directory exists but holds no sweep.json.
-        os.makedirs(results_env / "sweeps" / "m22" / "shards" / "2of2")
-        with pytest.raises(ConfigError, match="no sweep.json"):
-            merge_shards(spec, verbose=False)
-
-    def test_merge_without_shards_is_config_error(self, results_env):
-        with pytest.raises(ConfigError, match="no shard runs"):
-            merge_shards(spec_from_dict(MAC_2X2), verbose=False)
-
-    def test_merge_refuses_stale_schema_shard(self, results_env, tmp_path, capsys):
-        from repro.cli import main
-
-        spec = spec_from_dict(MAC_2X2)
-        paths = [
-            run_sweep(spec, jobs=1, verbose=False, shard=Shard(k, 2)).json_path for k in (1, 2)
-        ]
-        with open(paths[0], encoding="utf-8") as f:
-            document = json.load(f)
-        document.update(schema_version=1, schema=1)
-        with open(paths[0], "w", encoding="utf-8") as f:
-            json.dump(document, f)
-        with pytest.raises(SchemaVersionError) as excinfo:
-            merge_shards(spec, verbose=False)
-        assert (excinfo.value.found, excinfo.value.expected) == (1, 2)
-        toml_path = tmp_path / "m22.toml"
-        toml_path.write_text(MAC_2X2_TOML, encoding="utf-8")
-        assert main(["sweep", "merge", str(toml_path), "-q"]) == 2
-        assert "schema version 1" in capsys.readouterr().err
-
-
 class TestRerun:
     def test_rerun_finishes_a_stopped_sweep(self, tmp_path, monkeypatch):
         """A sweep that stopped after two points is finished by a plain
@@ -290,31 +174,6 @@ class TestRerun:
 
 
 class TestCli:
-    def write_spec(self, tmp_path):
-        path = tmp_path / "m22.toml"
-        path.write_text(MAC_2X2_TOML, encoding="utf-8")
-        return str(path)
-
-    def test_shard_run_merge_flow(self, results_env, tmp_path, capsys):
-        from repro.cli import main
-
-        path = self.write_spec(tmp_path)
-        assert main(["sweep", "run", path, "--shard", "1/2", "-j", "1", "-q"]) == 0
-        assert main(["sweep", "merge", path, "-q"]) != 0  # shard 2/2 missing
-        assert "missing [2]" in capsys.readouterr().err
-        assert main(["sweep", "run", path, "--shard", "2/2", "-j", "1", "-q"]) == 0
-        capsys.readouterr()
-        assert main(["sweep", "merge", path, "--json"]) == 0
-        document = json.loads(capsys.readouterr().out)
-        assert len(document["points"]) == 4
-
-    def test_bad_shard_exits_2(self, results_env, tmp_path, capsys):
-        from repro.cli import main
-
-        path = self.write_spec(tmp_path)
-        assert main(["sweep", "run", path, "--shard", "3/2"]) == 2
-        assert "shard index" in capsys.readouterr().err
-
     def test_digest_check_only_subset(self, results_env, capsys):
         from repro.cli import main
 

@@ -1,11 +1,10 @@
-"""The worker-fleet layer: leases, fan-out, compaction, ``repro worker``.
+"""The worker-fleet layer: leases, compaction, ``repro worker``.
 
 Covers the lease lifecycle at the store level (claim / heartbeat /
-expire / complete), journal compaction on recovery, sweep fan-out into
-shard jobs with a server-side merge, the in-process :class:`Worker`
-loop, and — as a subprocess crash test — a worker SIGKILLed mid-lease
-whose job re-enqueues and is completed byte-identically by a second
-worker.
+expire / complete), journal compaction on recovery, the claim and
+completion wire schema, the in-process :class:`Worker` loop, and — as
+a subprocess crash test — a worker SIGKILLed mid-lease whose job
+re-enqueues and is completed byte-identically by a second worker.
 """
 
 import os
@@ -187,39 +186,7 @@ class TestCompaction:
         assert claimed == [r.job_id for r in high + low]
 
 
-class TestFanoutSchema:
-    def test_shards_resolve_and_clamp(self, results_env, sweeps_env):
-        spec, _ = schema.validate_submission({"task": "sweep", "spec": "m22", "shards": 3})
-        assert spec["shards"] == 3
-        spec, _ = schema.validate_submission({"task": "sweep", "spec": "m22", "shards": 9})
-        assert spec["shards"] == 4  # clamped to the 2x2 matrix
-        spec, _ = schema.validate_submission({"task": "sweep", "spec": "m22", "shards": 1})
-        assert "shards" not in spec  # width 1 keeps the spec (and fingerprint) plain
-        spec, _ = schema.validate_submission({"task": "sweep", "spec": "m22"}, autosplit=3)
-        assert spec["shards"] == 3
-        spec, _ = schema.validate_submission(
-            {"task": "sweep", "spec": "m22", "limit": 2}, autosplit=3
-        )
-        assert spec["shards"] == 2  # the limit caps the matrix first
-
-    def test_explicit_shard_slice(self, results_env, sweeps_env):
-        spec, _ = schema.validate_submission({"task": "sweep", "spec": "m22", "shard": "2/4"})
-        assert spec["shard"] == "2/4" and "shards" not in spec
-        spec, _ = schema.validate_submission({"task": "sweep", "spec": "m22", "shard": "1/1"})
-        assert "shard" not in spec  # 1/1 is the whole matrix
-        with pytest.raises(ConfigError, match="not both"):
-            schema.validate_submission(
-                {"task": "sweep", "spec": "m22", "shard": "1/2", "shards": 2}
-            )
-        with pytest.raises(ConfigError, match="K/N"):
-            schema.validate_submission({"task": "sweep", "spec": "m22", "shard": "nope"})
-
-    def test_shard_specs_builder(self):
-        parent = {"task": "sweep", "spec": "m22", "quick": True, "limit": None, "shards": 3}
-        children = schema.shard_specs(parent)
-        assert [c["shard"] for c in children] == ["1/3", "2/3", "3/3"]
-        assert all("shards" not in c and c["quick"] for c in children)
-
+class TestLeaseSchema:
     def test_claim_and_complete_validation(self):
         worker, ttl, tags = schema.validate_claim({"worker": "w1", "tags": ["b", "a", "a"]})
         assert (worker, ttl, tags) == ("w1", schema.DEFAULT_LEASE_TTL, ["a", "b"])
@@ -231,78 +198,6 @@ class TestFanoutSchema:
         assert done["result"] == {"x": 1} and done["elapsed_s"] == 0.0
         with pytest.raises(ConfigError, match="'error'"):
             schema.validate_complete({"worker": "w1", "ok": False})
-
-
-class TestFanoutStore:
-    def _fanout(self, store):
-        parent_spec = {"task": "sweep", "spec": "m22", "quick": True, "limit": None, "shards": 2}
-        children = [(child, f"fp-{i}") for i, child in enumerate(schema.shard_specs(parent_spec))]
-        return store.submit_fanout(parent_spec, children, fingerprint="fp-parent")
-
-    def test_parent_and_children_are_linked(self, results_env):
-        store = JobStore(str(results_env / "queue"))
-        parent = self._fanout(store)
-        children = store.children_of(parent.job_id)
-        assert len(children) == 2
-        assert all(c.parent == parent.job_id for c in children)
-        assert [c.spec["shard"] for c in children] == ["1/2", "2/2"]
-        # Only the children are claimable; the parent is the server's.
-        claimed = {store.claim(worker="w", lease_ttl=5.0).job_id for _ in range(2)}
-        assert claimed == {c.job_id for c in children}
-        assert store.claim(worker="w", lease_ttl=5.0) is None
-        assert store.get(parent.job_id).status == JOB_SUBMITTED
-
-    def test_fanout_survives_reopen(self, results_env):
-        root = str(results_env / "queue")
-        parent = self._fanout(JobStore(root))
-        fresh = JobStore(root)
-        assert [c.spec["shard"] for c in fresh.children_of(parent.job_id)] == ["1/2", "2/2"]
-
-
-class TestFanoutService:
-    def test_sweep_fans_out_and_merges_canonically(
-        self, results_env, sweeps_env, service, monkeypatch
-    ):
-        from repro.eval import sweep as sweep_mod
-
-        # Reference: the same sweep, unsharded, in a separate results tree.
-        reference_dir = results_env / "reference"
-        monkeypatch.setenv("REPRO_RESULTS_DIR", str(reference_dir))
-        reference = sweep_mod.run_sweep(
-            sweep_mod.load_spec("m22"), jobs=1, quick=True, verbose=False
-        ).document()
-        monkeypatch.setenv("REPRO_RESULTS_DIR", str(results_env))
-
-        svc, client = service(workers=1)
-        view = client.submit({"task": "sweep", "spec": "m22", "quick": True, "shards": 2})
-        assert len(view["children"]) == 2 and view["status"] == JOB_SUBMITTED
-        final = client.wait(view["id"], timeout=240)
-        assert final["status"] == JOB_DONE
-        children = [client.job(cid) for cid in final["children"]]
-        assert all(c["status"] == JOB_DONE and c["parent"] == view["id"] for c in children)
-        merged = client.result(view["id"])["result"]["document"]
-        assert len(merged["points"]) == 4
-        assert sweep_mod.canonical_document(merged) == sweep_mod.canonical_document(reference)
-
-    def test_failed_shard_fails_the_parent(self, results_env, sweeps_env, service):
-        svc, client = service(workers=1, external_only=True)
-        view = client.submit({"task": "sweep", "spec": "m22", "quick": True, "shards": 2})
-        child_id = view["children"][0]
-        answer = client.claim("w1", lease_ttl=30.0)
-        claimed = answer["job"]
-        client.complete(claimed["id"], "w1", ok=False, error="boom", error_type="RuntimeError")
-        # The other child completes fine; the parent still fails.
-        other = client.claim("w1", lease_ttl=30.0)["job"]
-        client.complete(other["id"], "w1", ok=True, result={"task": "sweep"})
-        final = client.wait(view["id"], timeout=60)
-        assert final["status"] == JOB_FAILED
-        assert "shard jobs did not complete" in final["error"]
-        assert child_id in {claimed["id"], other["id"]}
-
-    def test_autosplit_applies_to_plain_submissions(self, results_env, sweeps_env, service):
-        svc, client = service(workers=1, external_only=True, autosplit=4)
-        view = client.submit({"task": "sweep", "spec": "m22", "quick": True})
-        assert len(view["children"]) == 4
 
 
 class TestLeaseWire:
