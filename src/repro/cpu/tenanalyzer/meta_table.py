@@ -67,7 +67,10 @@ class MetaTable:
         self.vn_store = vn_store if vn_store is not None else OffChipVnStore()
         self.stats = stats if stats is not None else Stats("meta_table")
         self._entries: Dict[int, MetaTableEntry] = {}
-        self._line_map: Dict[int, int] = {}  # covered line VA -> entry id
+        #: Covered line VA -> its entry's id cell: a one-element list that
+        #: every line of one entry shares, so a merge re-points only the
+        #: lines of its smaller part (:meth:`_apply_merge`).
+        self._line_map: Dict[int, List[int]] = {}
         self._boundary_map: Dict[int, int] = {}  # boundary VA -> entry id
         self._recent_updates: List[int] = []  # entry ids, most recent last
         self._next_id = 0
@@ -76,8 +79,12 @@ class MetaTable:
     # -- indexing helpers ----------------------------------------------------
 
     def _index_entry(self, entry_id: int, entry: MetaTableEntry) -> None:
-        self._line_map.update(dict.fromkeys(entry.geometry.covered_lines(), entry_id))
+        self._line_map.update(dict.fromkeys(entry.geometry.covered_lines(), [entry_id]))
         self._boundary_map[entry.geometry.boundary_va()] = entry_id
+
+    def _cell_of(self, entry: MetaTableEntry) -> List[int]:
+        """The id cell of indexed ``entry`` (every entry covers its base line)."""
+        return self._line_map[entry.geometry.base_va]
 
     def _unindex_entry(self, entry_id: int, entry: MetaTableEntry) -> None:
         # Resident entries never overlap (_admit steals collisions, a merge
@@ -115,9 +122,9 @@ class MetaTable:
 
     def lookup(self, vaddr: int) -> Tuple[LookupKind, Optional[MetaTableEntry]]:
         """Classify one request address against the table."""
-        entry_id = self._line_map.get(vaddr)
-        if entry_id is not None:
-            entry = self._entries[entry_id]
+        cell = self._line_map.get(vaddr)
+        if cell is not None:
+            entry = self._entries[cell[0]]
             self.touch_run(entry)
             return LookupKind.HIT_IN, entry
         entry_id = self._boundary_map.get(vaddr)
@@ -129,8 +136,8 @@ class MetaTable:
 
     def entry_of(self, vaddr: int) -> Optional[MetaTableEntry]:
         """Covering entry without LRU side effects."""
-        entry_id = self._line_map.get(vaddr)
-        return self._entries.get(entry_id) if entry_id is not None else None
+        cell = self._line_map.get(vaddr)
+        return self._entries.get(cell[0]) if cell is not None else None
 
     def covered_run(self, vaddr: int, n_lines: int) -> Tuple[Optional[MetaTableEntry], int]:
         """The entry covering ``vaddr`` and how many of the ``n_lines``
@@ -140,10 +147,10 @@ class MetaTable:
         that entry in the line index, so the count comes from the entry's
         geometry in O(1).
         """
-        entry_id = self._line_map.get(vaddr)
-        if entry_id is None:
+        cell = self._line_map.get(vaddr)
+        if cell is None:
             return None, 0
-        entry = self._entries[entry_id]
+        entry = self._entries[cell[0]]
         return entry, min(n_lines, entry.geometry.run_from(vaddr))
 
     # -- mutation ---------------------------------------------------------------
@@ -198,7 +205,7 @@ class MetaTable:
         for line in grown[1:]:
             boundary_map.pop(line, None)
         entry.geometry.extend(n_lines)
-        self._line_map.update(dict.fromkeys(grown, entry_id))
+        self._line_map.update(dict.fromkeys(grown, self._cell_of(entry)))
         new_boundary = entry.geometry.boundary_va()
         if new_boundary not in self._line_map:
             boundary_map[new_boundary] = entry_id
@@ -221,7 +228,7 @@ class MetaTable:
         # Steal coverage collisions: a new detection overlapping an existing
         # entry invalidates the stale one (conservative, keeps maps 1:1).
         overlapping = {
-            self._line_map[va]
+            self._line_map[va][0]
             for va in entry.geometry.covered_lines()
             if va in self._line_map
         }
@@ -288,14 +295,23 @@ class MetaTable:
         return current_id
 
     def _apply_merge(self, a_id: int, b_id: int, combined: EntryGeometry) -> int:
-        a, b = self._entries[a_id], self._entries[b_id]
-        self._unindex_entry(a_id, a)
-        self._unindex_entry(b_id, b)
-        del self._entries[a_id]
-        del self._entries[b_id]
-        for stale in (a_id, b_id):
-            if stale in self._recent_updates:
-                self._recent_updates.remove(stale)
+        """Replace parts ``a_id`` and ``b_id`` by one entry under a fresh id.
+
+        A fresh id keeps a merged-away part dead for callers that hold its
+        id (:meth:`_attempt_merges` scans a snapshot of the window). A
+        merge covers exactly the union of its two disjoint parts, so the
+        merged entry takes over the id cell of the part with more lines and
+        only the other part's lines are re-pointed at it: the index ends as
+        unindexing both parts and indexing the merged entry would leave it.
+        """
+        a, b = self._entries.pop(a_id), self._entries.pop(b_id)
+        boundary_map = self._boundary_map
+        for stale_id, stale in ((a_id, a), (b_id, b)):
+            if stale_id in self._recent_updates:
+                self._recent_updates.remove(stale_id)
+            boundary = stale.geometry.boundary_va()
+            if boundary_map.get(boundary) == stale_id:
+                del boundary_map[boundary]
         merged = MetaTableEntry(geometry=combined, vn=a.vn, mac=a.mac ^ b.mac, source="merge")
         merged_id = self._next_id
         self._next_id += 1
@@ -303,7 +319,11 @@ class MetaTable:
         merged.entry_id = merged_id
         self._tick += 1
         merged.lru_tick = self._tick
-        self._index_entry(merged_id, merged)
+        large, small = (a, b) if a.geometry.n_lines >= b.geometry.n_lines else (b, a)
+        cell = self._cell_of(large)
+        cell[0] = merged_id
+        self._line_map.update(dict.fromkeys(small.geometry.covered_lines(), cell))
+        boundary_map[combined.boundary_va()] = merged_id
         self._note_updated(merged_id)
         return merged_id
 

@@ -485,9 +485,12 @@ class AttentionLayoutResult:
 
 
 def _covered_fraction(analyzer: TenAnalyzer, vaddrs) -> tuple[int, float]:
-    """(distinct trace lines, fraction covered by resident entries)."""
-    lines = {va - va % CACHELINE_BYTES for va in vaddrs}
-    covered = sum(1 for va in lines if analyzer.table.entry_of(va) is not None)
+    """(distinct trace lines, fraction covered by resident entries);
+    ``vaddrs`` is an array or a list."""
+    va = np.asarray(vaddrs, dtype=np.int64)
+    lines = np.unique(va - va % CACHELINE_BYTES).tolist()
+    entry_of = analyzer.table.entry_of
+    covered = sum(1 for line in lines if entry_of(line) is not None)
     return len(lines), covered / len(lines) if lines else 0.0
 
 
@@ -526,11 +529,10 @@ def attention_layout(
     registry = TensorRegistry(guard_bytes=PAGE_BYTES)
     tensors = build_attention_tensors(registry, config, layout)
     batch = attention_batch(tensors, config)
-    vaddrs, kinds, _, _ = batch.columns()
     analyzer = TenAnalyzer(stride_detect=stride_detect)
-    analyzer.replay_window(vaddrs, kinds)
+    analyzer.replay_window(batch.vaddr, batch.kind)
     rates = analyzer.hit_rates()
-    trace_lines, covered = _covered_fraction(analyzer, vaddrs)
+    trace_lines, covered = _covered_fraction(analyzer, batch.vaddr)
     table_stats = analyzer.table.stats
     return AttentionLayoutResult(
         layout=layout,

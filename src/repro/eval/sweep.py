@@ -381,6 +381,7 @@ class SweepResult:
     limit: Optional[int] = None
     json_path: Optional[str] = None
     csv_path: Optional[str] = None
+    _document: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.axes:
@@ -415,8 +416,15 @@ class SweepResult:
         return records
 
     def document(self) -> dict:
-        """The full ``sweep.json`` payload."""
-        return {
+        """The full ``sweep.json`` payload, built on the first call.
+
+        Every later call returns the same object, so what :meth:`write`
+        wrote is what ``sweep run --json`` prints and a served sweep job
+        returns.
+        """
+        if self._document is not None:
+            return self._document
+        self._document = {
             "schema_version": SWEEP_SCHEMA,
             "schema": SWEEP_SCHEMA,  # legacy spelling kept for older tooling
             "kind": "repro-sweep",
@@ -441,13 +449,14 @@ class SweepResult:
             "metrics": [{"name": m.name, "path": m.path} for m in self.spec.metrics],
             "points": self.point_records(),
         }
+        return self._document
 
     def table(self) -> str:
         """ASCII table of the matrix: axis values x metrics per point."""
         headers = [a.short for a in self.axes]
         headers += ["status"] + [m.name for m in self.spec.metrics]
         rows = []
-        for point, record in zip(self.points, self.point_records()):
+        for point, record in zip(self.points, self.document()["points"]):
             row = [point.coords[a.param] for a in self.axes]
             row.append(record["status"])
             for metric in self.spec.metrics:

@@ -502,51 +502,52 @@ def build_attention_tensors(
     return AttentionTensors(layout=layout, heads=heads, **tensors)
 
 
-#: Column burst: (vaddr, kind, tensor_id) triples of one scheduling unit.
-_Burst = Tuple[List[int], List[int], List[int]]
+#: One run of a burst: a row block's line addresses (``int64``), their
+#: access-kind code and their tensor id.
+_Segment = Tuple[np.ndarray, int, int]
 
 
-def _attention_head_bursts(head: AttentionHead, config: AttentionConfig) -> List[_Burst]:
+def _attention_head_bursts(head: AttentionHead, config: AttentionConfig) -> List[List[_Segment]]:
     """One head's blockwise pass as an ordered burst list.
 
     Per query block: one burst reading the Q rows, then one burst per key
     block reading the K and V rows and read-modify-writing the O rows
     (the online-softmax rescale). Line enumeration follows each view's
     strides via :meth:`TensorDesc.tile_row_lines`; each row block's
-    distinct lines (first-touch order) are enumerated once and every
-    burst that re-reads the block extends from that one list.
+    distinct lines (first-touch order) are enumerated once into one
+    array, and every burst that re-reads the block refers to that array.
     """
     d = config.head_dim
 
-    def block_lines(view: TensorDesc, rows: int) -> List[List[int]]:
+    def block_lines(view: TensorDesc, rows: int) -> List[np.ndarray]:
         blocks = []
         for row0 in range(0, config.seq_len, rows):
             lines: Dict[int, None] = {}
             for r in range(row0, row0 + rows):
                 lines.update(dict.fromkeys(view.tile_row_lines(r, 0, d)))
-            blocks.append(list(lines))
+            blocks.append(np.fromiter(lines, dtype=np.int64, count=len(lines)))
         return blocks
 
     q_blocks = block_lines(head.q, config.block_q)
     o_blocks = block_lines(head.o, config.block_q)
     k_blocks = block_lines(head.k, config.block_k)
     v_blocks = block_lines(head.v, config.block_k)
-    bursts: List[_Burst] = []
+    q_id, k_id, v_id, o_id = (t.tensor_id for t in (head.q, head.k, head.v, head.o))
+    bursts: List[List[_Segment]] = []
     for q_lines, o_lines in zip(q_blocks, o_blocks):
-        bursts.append((q_lines, [KIND_READ] * len(q_lines), [head.q.tensor_id] * len(q_lines)))
+        bursts.append([(q_lines, KIND_READ, q_id)])
         for k_lines, v_lines in zip(k_blocks, v_blocks):
             # Rescale: the O block is re-read and re-written every key
             # block — within one logical update round, so a covering Meta
             # Table entry sees the same line written twice (Assert1).
-            vaddr = k_lines + v_lines + o_lines + o_lines
-            n_reads = len(vaddr) - len(o_lines)
-            kind = [KIND_READ] * n_reads + [KIND_WRITE] * len(o_lines)
-            tensor_id = (
-                [head.k.tensor_id] * len(k_lines)
-                + [head.v.tensor_id] * len(v_lines)
-                + [head.o.tensor_id] * (2 * len(o_lines))
+            bursts.append(
+                [
+                    (k_lines, KIND_READ, k_id),
+                    (v_lines, KIND_READ, v_id),
+                    (o_lines, KIND_READ, o_id),
+                    (o_lines, KIND_WRITE, o_id),
+                ]
             )
-            bursts.append((vaddr, kind, tensor_id))
     return bursts
 
 
@@ -556,24 +557,21 @@ def attention_batch(
     """One attention layer as seen by the memory controller.
 
     One hardware thread per head; the controller sees the deterministic
-    round-robin interleave of per-head bursts, assembled by column extends.
+    round-robin interleave of per-head bursts; every head has the same
+    number of bursts, so the interleave goes turn by turn. The columns
+    are the concatenated block arrays, with each block's kind, thread and
+    tensor id repeated over its lines.
     """
     per_head = [_attention_head_bursts(h, config) for h in tensors.heads]
-    vaddr: List[int] = []
-    kind: List[int] = []
-    thread_col: List[int] = []
-    tensor_id: List[int] = []
-    cursors = [0] * len(per_head)
-    remaining = sum(len(b) for b in per_head)
-    while remaining:
-        for t, bursts in enumerate(per_head):
-            if cursors[t] >= len(bursts):
-                continue
-            b_vaddr, b_kind, b_tensor = bursts[cursors[t]]
-            vaddr.extend(b_vaddr)
-            kind.extend(b_kind)
-            tensor_id.extend(b_tensor)
-            thread_col.extend([t] * len(b_vaddr))
-            cursors[t] += 1
-            remaining -= 1
-    return TraceBatch.from_columns(vaddr, kind, thread_col, tensor_id)
+    segments: List[_Segment] = []
+    threads: List[int] = []
+    for turn in zip(*per_head):
+        for thread, burst in enumerate(turn):
+            segments.extend(burst)
+            threads.extend([thread] * len(burst))
+    blocks, kinds, tensor_ids = zip(*segments)
+    lengths = [len(block) for block in blocks]
+    return TraceBatch.from_columns(
+        np.concatenate(blocks),
+        *(np.repeat(np.array(c, dtype=np.int64), lengths) for c in (kinds, threads, tensor_ids)),
+    )

@@ -12,6 +12,8 @@ them bit for bit:
   over it;
 - :mod:`oracles.traces` — the per-access Adam, tiled-GEMM and blockwise
   attention generators;
+- :mod:`oracles.meta_table` — the Meta Table merge that unindexes both
+  parts line by line and indexes the merged entry afresh;
 - :mod:`oracles.pipeline` — the event-driven Fig. 13 pipeline timing.
 
 Where the reference already is a per-element production API (AES

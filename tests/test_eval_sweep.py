@@ -489,6 +489,14 @@ class TestCli:
         }
         assert os.path.exists(results_env / "sweeps" / "smoke" / "sweep.csv")
 
+    def test_sweep_run_json_is_the_written_document(self, results_env, capsys):
+        from repro.cli import main
+
+        assert main(["sweep", "run", "mac_policy", "--limit", "1", "--jobs", "1", "--json"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        with open(results_env / "sweeps" / "mac_policy" / "sweep.json", encoding="utf-8") as f:
+            assert printed == json.load(f)
+
     def test_sweep_show_and_list(self, tmp_path, monkeypatch, capsys):
         from repro.cli import main
 

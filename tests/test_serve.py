@@ -439,7 +439,10 @@ class TestServiceEndToEnd:
         view = client.submit({"task": "sweep", "spec": "m22", "quick": False})
         view = client.wait(view["id"], timeout=240)
         assert view["status"] == JOB_DONE
-        document = client.result(view["id"])["result"]["document"]
+        result = client.result(view["id"])["result"]
+        document = result["document"]
+        with open(result["json_path"], encoding="utf-8") as f:
+            assert document == json.load(f)  # the served document is the written one
         assert len(document["points"]) == 4
         assert document["counts"]["failed"] == 0
         assert sweep_mod.canonical_document(document) == sweep_mod.canonical_document(reference)

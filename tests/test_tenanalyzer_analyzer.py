@@ -178,6 +178,35 @@ class TestWriteDataflow:
         assert entry is None
 
 
+class TestMerge:
+    def test_merge_takes_a_fresh_id_and_keeps_the_index_exact(self):
+        analyzer = TenAnalyzer()
+        table = analyzer.table
+        for i in range(4, 8):
+            read(analyzer, BASE + i * LINE)  # detects lines 4-7
+        write(analyzer, BASE + 4 * LINE)  # mid-update: not mergeable
+        for i in range(4):
+            read(analyzer, BASE + i * LINE)  # detects lines 0-3
+        for i in range(5, 8):
+            write(analyzer, BASE + i * LINE)  # completes 4-7 at VN 1
+        for i in range(3):
+            write(analyzer, BASE + i * LINE)
+        parts = {entry.entry_id for entry in table.entries()}
+        assert len(parts) == 2 and table.stats["merges"] == 0
+        next_id = table._next_id
+        write(analyzer, BASE + 3 * LINE)  # completes 0-3 at VN 1: they merge
+        (merged,) = table.entries()
+        assert table.stats["merges"] == 1
+        assert merged.entry_id == next_id and table._next_id == next_id + 1
+        assert not parts & set(table._entries)
+        assert (merged.geometry.base_va, merged.geometry.n_lines, merged.vn) == (BASE, 8, 1)
+        cell = table._line_map[BASE]
+        assert cell == [merged.entry_id]
+        assert all(table._line_map[line] is cell for line in merged.geometry.covered_lines())
+        assert len(table._line_map) == 8
+        assert table._boundary_map == {BASE + 8 * LINE: merged.entry_id}
+
+
 class TestTransferInstall:
     def test_install_creates_full_entry(self):
         analyzer = TenAnalyzer()

@@ -9,12 +9,14 @@ or a per-element production API. The cache-layer docstrings
 guarantee.
 """
 
+import collections
 import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import meta_table as meta_table_oracle
 from oracles import metadata as metadata_oracle
 from oracles import pipeline as pipeline_oracle
 from oracles import traces as traces_oracle
@@ -23,6 +25,7 @@ from repro.cpu import metadata_model
 from repro.cpu.metadata_model import measure_sgx_metadata
 from repro.cpu.tenanalyzer import TenAnalyzer
 from repro.eval.scenarios import mee_cache_geometry
+from repro.eval.sweep import expand, load_spec
 from repro.mem.cache import LruCacheCore
 from repro.mem.mee import FunctionalMee
 from repro.npu.config import NpuConfig
@@ -220,11 +223,13 @@ def _tile_views(dtype):
 
 def _assert_index_exact(table):
     """The invariant coalesced replay relies on: every covered line of every
-    resident entry maps to that entry in the line index, and no other line
-    is indexed."""
+    resident entry maps to that entry in the line index, through the one id
+    cell all of the entry's lines share, and no other line is indexed."""
     for entry_id, entry in table._entries.items():
+        cell = table._line_map[entry.geometry.base_va]
+        assert cell == [entry_id]
         for line in entry.geometry.covered_lines():
-            assert table._line_map[line] == entry_id
+            assert table._line_map[line] is cell
     assert len(table._line_map) == sum(e.geometry.n_lines for e in table._entries.values())
 
 
@@ -234,7 +239,7 @@ def _analyzer_state(analyzer):
     return {
         "stats": analyzer.stats.as_dict(),
         "entries": dict(table._entries),
-        "line_map": dict(table._line_map),
+        "line_map": {line: cell[0] for line, cell in table._line_map.items()},
         "boundary_map": dict(table._boundary_map),
         "recent_updates": list(table._recent_updates),
         "ticks": (table._tick, table._next_id, filt._tick),
@@ -332,6 +337,55 @@ def _sampler_grid(points=40, seed=16):
     # tags without checking that V and M share a set would fire here.
     alias = dict(sample_lines=2557, write_fraction=0.2, metadata_cache_bytes=40 * KiB, streams=11)
     return grid + [(42013, alias)]
+
+
+def _run_script(analyzer, replay, script):
+    """Apply a replay script's steps to ``analyzer``, checking the line
+    index after each; returns the VNs of each replay step and the final
+    state."""
+    vns = []
+    for step in script:
+        if step[0] == "install":
+            analyzer.install_from_transfer(*step[1:])
+        elif step[0] == "poke":
+            analyzer.vn_store.set(*step[1:])
+        else:
+            vns.append(replay(analyzer, *step[1:]))
+        _assert_index_exact(analyzer.table)
+    return vns, _analyzer_state(analyzer)
+
+
+def _adam_install_script():
+    """Three fig19-shaped Adam iterations (24 layers of 64-line tensors, 8
+    threads). Each installs every layer's grad32 and weight16 from its
+    transfer descriptor, under the VN the tensor's first line has been
+    written to so far, then replays the iteration's batch."""
+    registry = TensorRegistry(alignment=4 * KiB, guard_bytes=256 * KiB)
+    groups = build_adam_groups(registry, n_layers=24, lines_per_tensor=64)
+    config = AdamTraceConfig(threads=8, seed=2024)
+    rng = random.Random(config.seed)
+    writes = collections.Counter()
+    script = []
+    for _ in range(3):
+        for group in groups:
+            for tensor in (group.grad32, group.weight16):
+                script.append(("install", tensor.base_va, tensor.n_lines, writes[tensor.base_va]))
+        batch = adam_iteration_batch(groups, config, rng)
+        script.append(("replay", batch.vaddr, batch.kind))
+        writes.update(batch.vaddr[batch.kind != KIND_READ].tolist())
+    return script
+
+
+def _attention_quick_scripts():
+    """(point id, ``stride_detect``, one-window script) of each
+    ``attention_layout --quick`` sweep point."""
+    for point in expand(load_spec("attention_layout"), quick=True):
+        params = dict(point.params)
+        layout, stride_detect = params.pop("layout"), params.pop("stride_detect")
+        config = AttentionConfig(**params)
+        tensors = build_attention_tensors(TensorRegistry(guard_bytes=PAGE_BYTES), config, layout)
+        batch = attention_batch(tensors, config)
+        yield point.point_id, stride_detect, [("replay", batch.vaddr, batch.kind)]
 
 
 def _replay_per_access(analyzer, vaddrs, kinds):
@@ -435,16 +489,7 @@ class TestModeParity:
         def run(replay, script):
             analyzer = TenAnalyzer(capacity=capacity, stride_detect=stride_detect, enabled=enabled)
             analyzer.table.replacement = replacement
-            vns = []
-            for step in script:
-                if step[0] == "install":
-                    analyzer.install_from_transfer(*step[1:])
-                elif step[0] == "poke":
-                    analyzer.vn_store.set(*step[1:])
-                else:
-                    vns.append(replay(analyzer, *step[1:]))
-                _assert_index_exact(analyzer.table)
-            return vns, _analyzer_state(analyzer)
+            return _run_script(analyzer, replay, script)
 
         scripts = {"bursty": _bursty_script(seed=capacity + 3 * stride_detect)}
         scripts.update(_streak_scripts())
@@ -454,6 +499,27 @@ class TestModeParity:
             assert batch_vns == ref_vns, name
             for key in ref_state:
                 assert batch_state[key] == ref_state[key], (name, key)
+
+    def test_meta_table_merge_matches_full_reindex(self):
+        # A merge re-points only its smaller part's lines; the oracle table
+        # pops every line of both parts and indexes the merged entry anew.
+        cases = [("adam fig19 x3", dict(capacity=512, merge_window=4), _adam_install_script())]
+        cases += [
+            (point, dict(stride_detect=stride_detect), script)
+            for point, stride_detect, script in _attention_quick_scripts()
+        ]
+        merges = {}
+        for name, kwargs, script in cases:
+            vns, state = _run_script(TenAnalyzer(**kwargs), TenAnalyzer.replay_window, script)
+            reference = meta_table_oracle.reindexing_analyzer(**kwargs)
+            ref_vns, ref_state = _run_script(reference, TenAnalyzer.replay_window, script)
+            assert vns == ref_vns, name
+            for key in ref_state:
+                assert state[key] == ref_state[key], (name, key)
+            merges[name] = state["stats"].get("tenanalyzer.meta_table.merges", 0)
+        assert len(cases) == 9
+        assert merges["adam fig19 x3"] > 0
+        assert sum(merges.values()) > merges["adam fig19 x3"]
 
     @pytest.mark.parametrize("dtype", list(DType))
     def test_tile_row_lines_match_geometry_walk(self, dtype):
