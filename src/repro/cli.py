@@ -1,4 +1,4 @@
-"""CLI: ``python -m repro {run,list,clean,sweep,digest,serve,worker,jobs}``.
+"""CLI: ``python -m repro {run,list,clean,sweep,digest,serve,jobs}``.
 
 Examples::
 
@@ -12,8 +12,6 @@ Examples::
     python -m repro sweep run npu_scaling --jobs 4
     python -m repro digest --check benchmarks/artifact_digests.json
     python -m repro serve --port 8765 --workers 4
-    python -m repro serve --external-only
-    python -m repro worker --server 127.0.0.1:8765 --lease-ttl 60 --once
     python -m repro jobs submit experiment fig16_overall --wait
     python -m repro jobs submit sweep mee_geometry --quick
     python -m repro jobs status <id> / wait <id> / result <id> / cancel <id> / list
@@ -127,14 +125,12 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_show.add_argument("--quick", action="store_true", help="apply the --quick truncation")
     sweep_show.add_argument("--json", action="store_true", help="machine-readable matrix")
 
-    serve = sub.add_parser(
-        "serve", help="persistent job-queue service over the orchestrator"
-    )
+    serve = sub.add_parser("serve", help="job-queue service over the orchestrator")
     serve.add_argument("--host", default=None, help="bind address (default: 127.0.0.1)")
     serve.add_argument("--port", type=int, default=None, help="bind port (default: 8765)")
     serve.add_argument(
         "--workers", "-w", type=int, default=None,
-        help="pool worker processes (default: CPU count; 1 = in-process)",
+        help="worker processes per job (default: CPU count; 1 = in-process)",
     )
     serve.add_argument(
         "--queue-dir", default=None, metavar="DIR",
@@ -149,46 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--grace", type=float, default=5.0, metavar="SECONDS",
         help="idle time after the last request before --once exits (default: 5)",
     )
-    serve.add_argument(
-        "--external-only", action="store_true",
-        help="never execute jobs in-process; only `repro worker` processes "
-        "drain the queue",
-    )
     serve.add_argument("--quiet", "-q", action="store_true", help="no request/job lines")
-
-    worker = sub.add_parser(
-        "worker", help="remote executor: claim jobs from a `repro serve` queue"
-    )
-    worker.add_argument(
-        "--server", default=None, metavar="HOST:PORT",
-        help="serve endpoint to pull from (default: 127.0.0.1:8765)",
-    )
-    worker.add_argument(
-        "--lease-ttl", type=float, default=None, metavar="SECONDS",
-        help="lease length per claim; heartbeats renew it (default: 60)",
-    )
-    worker.add_argument(
-        "--tags", action="append", default=[], metavar="TAG[,TAG...]",
-        help="capabilities this worker offers (claims only jobs it covers)",
-    )
-    worker.add_argument(
-        "--jobs", "-j", type=int, default=None,
-        help="worker pool processes (default: CPU count; 1 = in-process serial)",
-    )
-    worker.add_argument(
-        "--once", action="store_true",
-        help="exit once a claim comes back empty and nothing is outstanding "
-        "(fleet drain mode for CI)",
-    )
-    worker.add_argument(
-        "--poll", type=float, default=0.2, metavar="SECONDS",
-        help="nap between empty claims (default: 0.2)",
-    )
-    worker.add_argument(
-        "--id", default=None, metavar="NAME",
-        help="worker identity in leases and logs (default: <hostname>-<pid>)",
-    )
-    worker.add_argument("--quiet", "-q", action="store_true", help="no per-job lines")
 
     jobs = sub.add_parser("jobs", help="client for a running `repro serve`")
     jobs_sub = jobs.add_subparsers(dest="jobs_command", required=True)
@@ -200,11 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     jobs_submit = jobs_sub.add_parser("submit", help="submit an experiment or sweep job")
     jobs_submit.add_argument(
-        "task",
-        nargs="?",
-        default=None,
-        choices=("experiment", "sweep"),
-        help="what kind of work to enqueue (omit with --batch-file)",
+        "task", choices=("experiment", "sweep"), help="what kind of work to enqueue"
     )
     jobs_submit.add_argument(
         "target", nargs="?", default=None,
@@ -222,32 +175,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--limit", type=int, default=None, metavar="N", help="cap a sweep matrix at N points"
     )
     jobs_submit.add_argument(
-        "--priority", type=int, default=0, help="higher runs first (default: 0)"
-    )
-    jobs_submit.add_argument(
         "--wait", action="store_true", help="block until the job is terminal"
     )
     jobs_submit.add_argument(
         "--timeout", type=float, default=600.0, metavar="SECONDS",
         help="--wait deadline (default: 600)",
     )
-    jobs_submit.add_argument(
-        "--batch-file", metavar="FILE", default=None,
-        help="submit every submission in FILE (a JSON array, or JSONL with "
-        "one submission object per line) in a single batch round trip",
-    )
     client_flags(jobs_submit)
 
     jobs_status = jobs_sub.add_parser("status", help="job status (and failure traceback)")
-    jobs_status.add_argument(
-        "id", nargs="*", default=[],
-        help="job id(s) from `jobs submit`; several ids go out as one "
-        "status batch round trip",
-    )
-    jobs_status.add_argument(
-        "--all", action="store_true",
-        help="every job the server knows, one round trip",
-    )
+    jobs_status.add_argument("id", help="job id from `jobs submit`")
     client_flags(jobs_status)
 
     jobs_wait = jobs_sub.add_parser("wait", help="block until a job is terminal")
@@ -458,22 +395,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return build_service(args).run()
 
 
-def cmd_worker(args: argparse.Namespace) -> int:
-    from repro.serve import schema as serve_schema
-    from repro.serve.worker import build_worker
-
-    if args.server is None:
-        args.server = f"{serve_schema.DEFAULT_HOST}:{serve_schema.DEFAULT_PORT}"
-    if args.lease_ttl is None:
-        args.lease_ttl = serve_schema.DEFAULT_LEASE_TTL
-    if args.lease_ttl <= 0:
-        raise ConfigError(f"--lease-ttl must be > 0, got {args.lease_ttl}")
-    if args.poll <= 0:
-        raise ConfigError(f"--poll must be > 0, got {args.poll}")
-    args.tags = _split_names(args.tags) or []
-    return build_worker(args).run()
-
-
 def _reject_flags(task: str, given: dict) -> None:
     """Refuse `jobs submit` flags the chosen task would silently ignore."""
     offending = sorted(flag for flag, used in given.items() if used)
@@ -486,7 +407,7 @@ def _reject_flags(task: str, given: dict) -> None:
 
 def _submission_payload(args: argparse.Namespace) -> dict:
     """Build the wire submission from `jobs submit` arguments."""
-    payload: dict = {"task": args.task, "priority": args.priority}
+    payload: dict = {"task": args.task}
     if args.task == "experiment":
         if not args.target:
             raise ConfigError("jobs submit experiment needs an experiment name")
@@ -514,111 +435,6 @@ def _submission_payload(args: argparse.Namespace) -> dict:
     return payload
 
 
-def _load_batch_file(path: str) -> list:
-    """Parse a `jobs submit --batch-file`: a JSON array, or JSONL lines."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            text = f.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read --batch-file {path!r}: {exc}") from exc
-    stripped = text.lstrip()
-    if not stripped:
-        raise ConfigError(f"--batch-file {path!r} is empty")
-    if stripped.startswith("["):
-        try:
-            entries = json.loads(text)
-        except ValueError as exc:
-            raise ConfigError(f"--batch-file {path!r} is not valid JSON: {exc}") from exc
-        if not isinstance(entries, list):
-            raise ConfigError(f"--batch-file {path!r} must hold a JSON array of submissions")
-        return entries
-    entries = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            entries.append(json.loads(line))
-        except ValueError as exc:
-            raise ConfigError(
-                f"--batch-file {path!r} line {lineno} is not valid JSON: {exc}"
-            ) from exc
-    return entries
-
-
-def _entry_is_error(view: dict) -> bool:
-    """Whether a batch answer entry is a rejection, not a job view."""
-    return "error" in view and "status" not in view
-
-
-def _submit_batch(client, args: argparse.Namespace) -> int:
-    """`jobs submit --batch-file`: one round trip for the whole file."""
-    from repro.serve import schema as serve_schema
-
-    if args.task is not None:
-        raise ConfigError(
-            "jobs submit --batch-file takes no positional task; "
-            "each file entry names its own"
-        )
-    _reject_flags(
-        "--batch-file",
-        {
-            "--params": args.params is not None,
-            "--seed": args.seed != 0,
-            "--quick": args.quick,
-            "--limit": args.limit is not None,
-            "--priority": args.priority != 0,
-        },
-    )
-    answer = client.submit_batch(_load_batch_file(args.batch_file))
-    if args.wait:
-        answer["jobs"] = [
-            view
-            if _entry_is_error(view) or serve_schema.view_is_terminal(view)
-            else client.wait(view["id"], timeout=args.timeout)
-            for view in answer["jobs"]
-        ]
-    rc = 0 if answer["rejected"] == 0 else 1
-    for view in answer["jobs"]:
-        if not _entry_is_error(view) and view["status"] not in ("submitted", "running", "done"):
-            rc = 1
-    if args.json:
-        json.dump(answer, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-        return rc
-    for index, view in enumerate(answer["jobs"]):
-        if _entry_is_error(view):
-            print(f"entry {view.get('index', index)}: error — {view['error']}", file=sys.stderr)
-        else:
-            _print_job(view, False)
-    print(f"{answer['accepted']} accepted, {answer['rejected']} rejected")
-    return rc
-
-
-def _status_batch(client, args: argparse.Namespace) -> int:
-    """`jobs status` with several ids or --all: one round trip."""
-    answer = (
-        client.status_batch(all_jobs=True) if args.all else client.status_batch(ids=args.id)
-    )
-    rc = 0
-    for view in answer["jobs"]:
-        if _entry_is_error(view):
-            rc = 2
-    if args.json:
-        json.dump(answer, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-        return rc
-    if not answer["jobs"]:
-        print("no jobs")
-        return rc
-    for view in answer["jobs"]:
-        if _entry_is_error(view):
-            print(f"job {view['id']}: error — {view['error']}", file=sys.stderr)
-        else:
-            _print_job(view, False)
-    return rc
-
-
 def _print_job(view: dict, as_json: bool) -> None:
     if as_json:
         json.dump(view, sys.stdout, indent=2)
@@ -644,25 +460,13 @@ def cmd_jobs(args: argparse.Namespace) -> int:
         port=args.port or serve_schema.DEFAULT_PORT,
     )
     if args.jobs_command == "submit":
-        if args.batch_file is not None:
-            return _submit_batch(client, args)
-        if args.task is None:
-            raise ConfigError(
-                "jobs submit needs a task (experiment or sweep) or --batch-file"
-            )
         view = client.submit(_submission_payload(args))
         if args.wait and not serve_schema.view_is_terminal(view):
             view = client.wait(view["id"], timeout=args.timeout)
         _print_job(view, args.json)
         return 0 if view["status"] in ("submitted", "running", "done") else 1
     if args.jobs_command == "status":
-        if args.all and args.id:
-            raise ConfigError("jobs status takes ids or --all, not both")
-        if not args.all and not args.id:
-            raise ConfigError("jobs status needs at least one job id (or --all)")
-        if args.all or len(args.id) > 1:
-            return _status_batch(client, args)
-        _print_job(client.job(args.id[0]), args.json)
+        _print_job(client.job(args.id), args.json)
         return 0
     if args.jobs_command == "wait":
         view = client.wait(args.id, timeout=args.timeout, interval=args.interval)
@@ -693,10 +497,7 @@ def cmd_jobs(args: argparse.Namespace) -> int:
         return 0
     for view in views:
         cached = " (cached)" if view.get("cached") else ""
-        print(
-            f"{view['id']}  {view['task']:<10} {view['status']:<9}"
-            f" p{view['priority']}{cached}"
-        )
+        print(f"{view['id']}  {view['task']:<10} {view['status']:<9}{cached}")
     return 0
 
 
@@ -778,7 +579,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "sweep": cmd_sweep,
         "digest": cmd_digest,
         "serve": cmd_serve,
-        "worker": cmd_worker,
         "jobs": cmd_jobs,
     }[args.command]
     try:

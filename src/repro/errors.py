@@ -24,8 +24,8 @@ class UnknownJobError(ConfigError):
 class JobConflictError(ConfigError):
     """A queue transition the job's current state refuses.
 
-    For example a cancel of a job that already started, or a heartbeat or
-    completion from a worker that lost its lease.
+    For example a cancel of a job that already started, or a finish of a
+    job that is not running.
     """
 
 

@@ -35,11 +35,7 @@ KIND_JOB = "job"
 #: Lifecycle of a queued service job (``repro serve``): a submission is
 #: appended as ``submitted``, claimed as ``running``, and finished as one
 #: of the terminal statuses. The newest record per ``job_id`` wins, so the
-#: whole queue state is reconstructable from the journal alone. Lease
-#: transitions (a remote ``repro worker`` claiming, heartbeating, or
-#: losing a job) are plain ``running``/``submitted`` records carrying the
-#: ``worker``/``lease_expires_at`` fields — liveness state is journaled,
-#: never held only in server memory.
+#: whole queue state is reconstructable from the journal alone.
 JOB_SUBMITTED = "submitted"
 JOB_RUNNING = "running"
 JOB_DONE = "done"
@@ -47,10 +43,6 @@ JOB_FAILED = "failed"
 JOB_CANCELLED = "cancelled"
 JOB_STATUSES = (JOB_SUBMITTED, JOB_RUNNING, JOB_DONE, JOB_FAILED, JOB_CANCELLED)
 TERMINAL_JOB_STATUSES = (JOB_DONE, JOB_FAILED, JOB_CANCELLED)
-
-#: Exit code of a fault-injection hard exit (the serve store's
-#: ``REPRO_STORE_CRASH_IN_COMPACT`` knob).
-CRASH_EXIT_CODE = 17
 
 
 @dataclass(frozen=True)
@@ -61,14 +53,15 @@ class JobRecord:
     sweep) rather than a single point; ``spec`` is the canonical
     submission payload and ``fingerprint`` its content hash under the
     current source digest, which is what duplicate-submission cache hits
-    key on.
+    key on. :meth:`from_json` drops keys this class does not define, so
+    a ``jobs.jsonl`` written by an older version, whose records carried
+    more fields, still opens.
     """
 
     job_id: str
     task: str  #: "experiment" | "sweep"
     status: str  #: one of JOB_STATUSES
     spec: Dict[str, Any] = field(default_factory=dict)
-    priority: int = 0  #: higher runs first; FIFO within a priority
     attempt: int = 0  #: 0-based execution attempt (restart recovery bumps it)
     fingerprint: str = ""  #: content hash of (spec, source digest)
     cached: bool = False  #: served from the result cache without executing
@@ -78,10 +71,6 @@ class JobRecord:
     result: Optional[dict] = None  #: terminal payload (artifact/document/report)
     submitted_at: float = 0.0  #: wall-clock submission time (time.time())
     ts: float = 0.0  #: wall-clock write time of this record
-    worker: str = ""  #: id of the worker (or server) holding the job
-    lease_ttl: float = 0.0  #: lease length granted at claim (0 = no lease)
-    lease_expires_at: float = 0.0  #: wall-clock lease expiry (0 = no lease)
-    tags: List[str] = field(default_factory=list)  #: routing tags (worker capabilities)
 
     def to_json(self) -> dict:
         payload: Dict[str, Any] = {"kind": KIND_JOB, "schema": JOURNAL_SCHEMA}
@@ -173,7 +162,7 @@ class RunJournal:
     """Writer half: every appended line is flushed and fsynced.
 
     The file is reopened per append — the write rate is one line per job
-    transition (or one batch), and a short-lived handle keeps the
+    transition, and a short-lived handle keeps the
     journal consistent even if the owning process is killed between
     appends.
     """
@@ -227,25 +216,6 @@ class RunJournal:
     def append_job(self, record: JobRecord) -> None:
         """Durably append one queue-job state transition."""
         self._append_line(record.to_json())
-
-    def append_jobs(self, records: List[JobRecord]) -> None:
-        """Durably append several queue-job records with one fsync.
-
-        The batch-submission fast path: the per-record open/flush/fsync
-        cycle dominates single submissions, so a batch writes every line
-        under one file handle and syncs once. All lines become durable
-        together — a crash before the fsync loses the whole batch, never
-        a prefix that the caller believed was partially durable (the
-        store updates its in-memory state only after this returns).
-        """
-        if not records:
-            return
-        os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as f:
-            for record in records:
-                f.write(json.dumps(record.to_json(), sort_keys=True) + "\n")
-            f.flush()
-            os.fsync(f.fileno())
 
     def _append_line(self, payload: dict) -> None:
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)

@@ -209,7 +209,6 @@ class Orchestrator:
         run_seed: int = 0,
         verbose: bool = True,
         show_text: bool = False,
-        persistent_pool: bool = False,
         cost_model: Optional[CostModel] = None,
     ) -> None:
         self.jobs = jobs if jobs and jobs > 0 else (os.cpu_count() or 1)
@@ -220,42 +219,10 @@ class Orchestrator:
         #: Predicts per-point seconds for scheduling order; built lazily
         #: from the results-tree history on first use when not injected.
         self.cost_model = cost_model
-        #: Keep one warm worker pool across run()/run_points() calls (the
-        #: ``repro serve`` mode) instead of building a pool per batch.
-        self.persistent_pool = persistent_pool
-        self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
-        self._pool_broken = False
 
     def _log(self, message: str) -> None:
         if self.verbose:
             print(message, flush=True)
-
-    def _ensure_pool(self) -> concurrent.futures.ProcessPoolExecutor:
-        """The shared worker pool, (re)built on first use or after a break.
-
-        A :class:`BrokenExecutor` poisons a pool permanently, so a broken
-        persistent pool is recycled rather than resubmitted to — the batch
-        that observed the break still reports its points failed, but the
-        *next* batch gets fresh workers instead of inheriting the corpse.
-        """
-        if self._pool_broken:
-            self.shutdown_pool()
-        if self._pool is None:
-            self._pool = concurrent.futures.ProcessPoolExecutor(max_workers=self.jobs)
-            self._pool_broken = False
-        return self._pool
-
-    def shutdown_pool(self) -> None:
-        """Tear down the persistent worker pool (no-op when none is live)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-
-    def __enter__(self) -> "Orchestrator":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.shutdown_pool()
 
     def run(
         self,
@@ -387,43 +354,27 @@ class Orchestrator:
         # static slow > medium > fast priors, so even a history-free run
         # orders all three cost classes.
         ordered = sorted(pending, key=lambda j: -self._predicted_s(j.run))
-        if self.jobs == 1 or (len(pending) == 1 and not self.persistent_pool):
+        if self.jobs == 1 or len(pending) == 1:
             for job in ordered:
                 self._finish(job, *self._run_inline(job), cache, stats)
             return
-        if self.persistent_pool:
-            self._drain_pool(self._ensure_pool(), ordered, cache, stats)
-            return
         workers = min(self.jobs, len(ordered))
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            self._drain_pool(pool, ordered, cache, stats)
-
-    def _drain_pool(
-        self,
-        pool: concurrent.futures.ProcessPoolExecutor,
-        ordered: List[_Job],
-        cache: result_cache.ResultCache,
-        stats: Stats,
-    ) -> None:
-        futures = {
-            pool.submit(_execute_one, job.run.experiment, job.run.seed, job.overrides): job
-            for job in ordered
-        }
-        for future in concurrent.futures.as_completed(futures):
-            job = futures[future]
-            record, error, error_type = None, None, None
-            try:
-                record = future.result()
-            except concurrent.futures.BrokenExecutor as exc:
-                # A worker died hard (segfault/OOM-kill): the pool is
-                # unusable. Record the failure; the remaining futures fail
-                # the same way, so the report stays complete, and a
-                # persistent pool is rebuilt before its next batch.
-                error, error_type = format_error(exc), type(exc).__name__
-                self._pool_broken = True
-            except Exception as exc:
-                error, error_type = format_error(exc), type(exc).__name__
-            self._finish(job, record, error, error_type, cache, stats)
+            futures = {
+                pool.submit(_execute_one, job.run.experiment, job.run.seed, job.overrides): job
+                for job in ordered
+            }
+            for future in concurrent.futures.as_completed(futures):
+                job = futures[future]
+                record, error, error_type = None, None, None
+                try:
+                    record = future.result()
+                except Exception as exc:
+                    # A worker that died hard (segfault/OOM-kill) breaks the
+                    # pool: every remaining future fails the same way, so
+                    # the report still lists each point.
+                    error, error_type = format_error(exc), type(exc).__name__
+                self._finish(job, record, error, error_type, cache, stats)
 
     def _run_inline(self, job: _Job):
         try:

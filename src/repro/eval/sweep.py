@@ -542,26 +542,16 @@ def run_sweep(
     limit: Optional[int] = None,
     verbose: bool = True,
     write: bool = True,
-    orchestrator: Optional[Orchestrator] = None,
 ) -> SweepResult:
     """Expand ``spec`` and run every point through the orchestrator.
 
-    Points are scheduled on the shared process pool with content-hash
+    Points are scheduled on the orchestrator's process pool with content-hash
     caching, so an unchanged re-run is all cache hits — and a re-run of
     a failed or interrupted sweep executes only the points that did not
     complete. Each point's rendered artifact lands under
     ``results/sweeps/<name>/points/`` and the per-point manifest next to
     the consolidated ``sweep.json``.
-
-    ``orchestrator`` is the service (sweep-as-job) entry: pass a live
-    :class:`Orchestrator` — typically one holding a persistent worker
-    pool — and the sweep is scheduled on it instead of a throwaway
-    instance. Its ``jobs``/``use_cache`` settings take precedence over
-    the same-named arguments here; its ``run_seed`` is set to the spec's
-    seed so cache keys stay consistent.
     """
-    if orchestrator is not None:
-        orchestrator.run_seed = spec.seed
     points = expand(spec, quick=quick, limit=limit)
     out_dir = sweep_dir(spec.name)
     os.makedirs(out_dir, exist_ok=True)
@@ -573,10 +563,7 @@ def run_sweep(
         )
         for point in points
     ]
-    if orchestrator is None:
-        orchestrator = Orchestrator(
-            jobs=jobs, use_cache=use_cache, run_seed=spec.seed, verbose=verbose
-        )
+    orchestrator = Orchestrator(jobs=jobs, use_cache=use_cache, run_seed=spec.seed, verbose=verbose)
     report = orchestrator.run_points(
         requests,
         write_manifest=True,

@@ -1,13 +1,16 @@
-"""``repro serve`` — a persistent job-queue service over the orchestrator.
+"""``repro serve`` — a job-queue service over the orchestrator.
 
-Submissions (experiments and sweeps) arrive over a localhost
-HTTP JSON API, are journaled into a durable on-disk queue, and execute
-on one long-lived process pool with the content-hash result cache as the
-serving layer — duplicate submissions come back ``cached`` immediately.
+Submissions (experiments and sweeps) arrive over a localhost HTTP JSON
+API, are journaled into a durable on-disk queue, and run one at a time,
+oldest first, each on a fresh orchestrator. The content-hash result
+cache is the serving layer: duplicate submissions come back ``cached``
+immediately.
 
 - :mod:`repro.serve.schema` — wire schema (endpoints, submissions, views)
-- :mod:`repro.serve.store` — the fsynced, journal-backed queue
-- :mod:`repro.serve.server` — HTTP front end + executor back end
+- :mod:`repro.serve.store` — the fsynced, journal-backed FIFO queue
+- :mod:`repro.serve.server` — the HTTP front end
+- :mod:`repro.serve.worker` — the executor thread (claim, execute, finish)
+- :mod:`repro.serve.execution` — one job on one orchestrator
 - :mod:`repro.serve.client` — stdlib client (`repro jobs ...` uses it)
 """
 

@@ -31,9 +31,6 @@ class ServeClient:
         self.host = host
         self.port = port
         self.timeout = timeout
-        #: HTTP round trips issued over this client's lifetime — the
-        #: batching tests assert a batch of M jobs costs O(1) of these.
-        self.requests = 0
 
     @property
     def base_url(self) -> str:
@@ -42,7 +39,6 @@ class ServeClient:
 
     def _request(self, method: str, path: str, payload: Optional[dict] = None) -> Any:
         """One HTTP round trip; every failure becomes a ServiceError."""
-        self.requests += 1
         url = self.base_url + path
         data = None if payload is None else json.dumps(payload).encode("utf-8")
         request = urllib.request.Request(
@@ -76,31 +72,6 @@ class ServeClient:
         """Submit one job; returns its wire view (maybe already done)."""
         return self._request("POST", "/jobs", payload)
 
-    def submit_batch(self, payloads: List[Dict[str, Any]]) -> Dict[str, Any]:
-        """Submit many jobs in one ``POST /jobs/submit_batch`` round trip.
-
-        Returns the batch answer: ``jobs`` aligned to ``payloads`` (a
-        job view per accepted entry, ``{"index", "error"}`` per rejected
-        one) plus ``accepted``/``rejected`` counts. Accepted entries hit
-        the server journal as a single durable append; a malformed
-        *envelope* (not a list, too many entries) is a whole-request
-        :class:`~repro.errors.ServiceError` instead.
-        """
-        return self._request("POST", "/jobs/submit_batch", {"jobs": list(payloads)})
-
-    def status_batch(
-        self, ids: Optional[List[str]] = None, all_jobs: bool = False
-    ) -> Dict[str, Any]:
-        """Fetch many job views in one ``POST /jobs/status_batch`` trip.
-
-        With ``all_jobs`` the server lists every job it knows (one
-        consistent snapshot, submission order); otherwise ``ids`` are
-        resolved individually and unknown ids come back as per-entry
-        ``{"id", "error"}`` objects. Read-only; nothing is journaled.
-        """
-        body = {"all": True} if all_jobs else {"ids": list(ids or [])}
-        return self._request("POST", "/jobs/status_batch", body)
-
     def job(self, job_id: str) -> Dict[str, Any]:
         """One job's wire view (no result payload)."""
         return self._request("GET", f"/jobs/{job_id}")
@@ -116,47 +87,6 @@ class ServeClient:
     def cancel(self, job_id: str) -> Dict[str, Any]:
         """Cancel a still-queued job (journaled); 409 once it started."""
         return self._request("POST", f"/jobs/{job_id}/cancel", {})
-
-    def claim(
-        self,
-        worker: str,
-        lease_ttl: float = schema.DEFAULT_LEASE_TTL,
-        tags: Optional[List[str]] = None,
-    ) -> Dict[str, Any]:
-        """Lease the best pending job; ``{"job": view|None, "outstanding": N, "total": N}``."""
-        return self._request(
-            "POST",
-            "/jobs/claim",
-            {"worker": worker, "lease_ttl": lease_ttl, "tags": list(tags or [])},
-        )
-
-    def heartbeat(self, job_id: str, worker: str) -> Dict[str, Any]:
-        """Renew a held lease; 409 :class:`ServiceError` once it is lost."""
-        return self._request("POST", f"/jobs/{job_id}/heartbeat", {"worker": worker})
-
-    def complete(
-        self,
-        job_id: str,
-        worker: str,
-        ok: bool,
-        result: Optional[dict] = None,
-        error: Optional[str] = None,
-        error_type: Optional[str] = None,
-        elapsed_s: float = 0.0,
-    ) -> Dict[str, Any]:
-        """Report a leased job's terminal outcome; returns the final view."""
-        return self._request(
-            "POST",
-            f"/jobs/{job_id}/complete",
-            {
-                "worker": worker,
-                "ok": ok,
-                "result": result,
-                "error": error,
-                "error_type": error_type,
-                "elapsed_s": elapsed_s,
-            },
-        )
 
     def shutdown(self) -> Dict[str, Any]:
         """Ask the server to stop once its running job finishes."""

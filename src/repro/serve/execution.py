@@ -1,13 +1,10 @@
-"""Job execution shared by the serve executor and ``repro worker``.
+"""Job execution for the ``repro serve`` executor.
 
 :func:`execute_job` turns one canonical job spec into its terminal
-outcome tuple ``(ok, result, error, error_type)`` on a caller-supplied
-:class:`~repro.eval.orchestrator.Orchestrator`. The server's in-process
-executor thread and every remote worker run the *same* code path, so a
-job produces byte-identical artifacts no matter which process claimed it
-— the orchestrator's content-hash result cache and ``save_result`` do
-all the writing, both of which are atomic (`os.replace`) and therefore
-safe for several workers sharing one results tree.
+outcome tuple ``(ok, result, error, error_type)``. Each job runs on a
+fresh :class:`~repro.eval.orchestrator.Orchestrator`, built the way
+``repro run`` and ``sweep run`` build theirs, so a job writes the same
+artifacts and cache entries as the equivalent command-line run.
 """
 
 from __future__ import annotations
@@ -21,21 +18,21 @@ from repro.serve import schema
 Outcome = Tuple[bool, Optional[dict], Optional[str], Optional[str]]
 
 
-def execute_job(task: str, spec: Dict[str, Any], orchestrator: Orchestrator) -> Outcome:
-    """Run one claimed job to its terminal outcome.
+def execute_job(task: str, spec: Dict[str, Any], jobs: Optional[int] = None) -> Outcome:
+    """Run one claimed job to its terminal outcome on ``jobs`` worker processes.
 
     Never raises for a *job* failure — that comes back as ``ok=False``
     plus the traceback; only programming errors escape.
     """
     if task == schema.TASK_EXPERIMENT:
-        return _execute_experiment(spec, orchestrator)
+        return _execute_experiment(spec, jobs)
     if task == schema.TASK_SWEEP:
-        return _execute_sweep(spec, orchestrator)
+        return _execute_sweep(spec, jobs)
     raise ValueError(f"unknown job task {task!r}")
 
 
-def _execute_experiment(spec: Dict[str, Any], orchestrator: Orchestrator) -> Outcome:
-    orchestrator.run_seed = spec["seed"]
+def _execute_experiment(spec: Dict[str, Any], jobs: Optional[int]) -> Outcome:
+    orchestrator = Orchestrator(jobs=jobs, run_seed=spec["seed"], verbose=False)
     report = orchestrator.run_points(
         [PointRequest(experiment=spec["experiment"], params=dict(spec["params"]))],
         write_manifest=False,
@@ -56,15 +53,15 @@ def _execute_experiment(spec: Dict[str, Any], orchestrator: Orchestrator) -> Out
     return True, result, None, None
 
 
-def _execute_sweep(spec: Dict[str, Any], orchestrator: Orchestrator) -> Outcome:
+def _execute_sweep(spec: Dict[str, Any], jobs: Optional[int]) -> Outcome:
     from repro.eval import sweep as sweep_mod
 
     outcome = sweep_mod.run_sweep(
         sweep_mod.load_spec(spec["spec"]),
+        jobs=jobs,
         quick=spec["quick"],
         limit=spec["limit"],
         verbose=False,
-        orchestrator=orchestrator,
     )
     result = {
         "task": schema.TASK_SWEEP,
@@ -77,4 +74,3 @@ def _execute_sweep(spec: Dict[str, Any], orchestrator: Orchestrator) -> Outcome:
         return True, result, None, None
     failed = [r for r in outcome.report.runs if r.status == STATUS_FAILED]
     return False, result, failed[0].error, failed[0].error_type
-

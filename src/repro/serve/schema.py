@@ -8,36 +8,18 @@ the ``/v1`` prefix:
 ``POST /v1/jobs``         submit a job (body: a *submission*, below);
                           returns the job view — already terminal with
                           ``cached: true`` when the result cache serves it
-``POST /v1/jobs/submit_batch``  submit many jobs in one round trip
-                          (body: ``{"jobs": [submission, ...]}``); the
-                          response's ``jobs`` list is aligned to the
-                          request — a view per accepted entry, an
-                          ``{"index", "error"}`` object per rejected one
-                          (a bad spec rejects only its own entry), plus
-                          ``accepted``/``rejected`` counts. Accepted
-                          entries are journaled as one durable batch.
-``POST /v1/jobs/status_batch``  many job views in one round trip (body:
-                          ``{"ids": [...]}`` or ``{"all": true}``);
-                          unknown ids come back as per-entry errors
 ``GET  /v1/jobs``         all jobs, submission order (``{"jobs": [...]}``)
 ``GET  /v1/jobs/<id>``    one job view (status, attempts, error traceback)
 ``GET  /v1/jobs/<id>/result``  terminal payload (409 until the job finishes)
 ``POST /v1/jobs/<id>/cancel``  cancel a still-queued job (409 otherwise)
-``POST /v1/jobs/claim``   lease the best pending job to a remote worker
-                          (body: ``{"worker", "lease_ttl", "tags"}``);
-                          ``{"job": null, "outstanding": N, "total": N}``
-                          when idle
-``POST /v1/jobs/<id>/heartbeat``  extend a held lease (409 once lost)
-``POST /v1/jobs/<id>/complete``   report a leased job's terminal outcome
 ``POST /v1/shutdown``     graceful stop: finish the running job, then exit
 ========================  ======================================================
 
 A *submission* body names a task and its arguments::
 
     {"task": "experiment", "experiment": "fig16_overall",
-     "params": {...}, "seed": 0, "priority": 0}
-    {"task": "sweep", "spec": "mee_geometry", "quick": true,
-     "limit": null, "priority": 0}
+     "params": {...}, "seed": 0}
+    {"task": "sweep", "spec": "mee_geometry", "quick": true, "limit": null}
 
 :func:`validate_submission` canonicalizes a body (defaults filled,
 unknown keys rejected, experiment params checked against the registry
@@ -53,14 +35,22 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, Mapping, Tuple
+from typing import Any, Dict, Mapping
 
 from repro.errors import ConfigError
-from repro.eval.journal import JOB_DONE, JOB_FAILED, JOB_RUNNING, JobRecord
+from repro.eval.journal import (
+    JOB_DONE,
+    JOB_FAILED,
+    JOB_RUNNING,
+    TERMINAL_JOB_STATUSES,
+    JobRecord,
+)
 from repro.eval.registry import REGISTRY, normalize_params
 
 #: Wire payload layout version; bump on breaking changes.
-SERVE_SCHEMA = 1
+#: 1 -> 2: the job view and submissions lost their scheduling and worker
+#: fields; a submission that still carries one is refused as unknown.
+SERVE_SCHEMA = 2
 
 #: All endpoints live under this prefix.
 API_PREFIX = "/v1"
@@ -71,13 +61,6 @@ DEFAULT_PORT = 8765
 TASK_EXPERIMENT = "experiment"
 TASK_SWEEP = "sweep"
 TASKS = (TASK_EXPERIMENT, TASK_SWEEP)
-
-#: Lease length a worker gets when its claim names none (seconds).
-DEFAULT_LEASE_TTL = 60.0
-
-#: Entries one ``/v1/jobs/submit_batch`` or ``status_batch`` body may
-#: carry; a cap so a runaway client cannot wedge a handler thread.
-MAX_BATCH = 1000
 
 
 def _require_bool(value: Any, name: str) -> bool:
@@ -92,31 +75,20 @@ def _require_int(value: Any, name: str) -> int:
     return value
 
 
-def _require_tags(value: Any, name: str = "tags") -> list:
-    if value is None:
-        return []
-    if not isinstance(value, list) or not all(isinstance(t, str) and t for t in value):
-        raise ConfigError(f"{name!r} must be a list of non-empty strings, got {value!r}")
-    return sorted(set(value))
-
-
-def validate_submission(payload: Any) -> Tuple[Dict[str, Any], int]:
-    """Canonicalize a submission body; returns ``(spec, priority)``.
+def validate_submission(payload: Any) -> Dict[str, Any]:
+    """Canonicalize a submission body into its spec.
 
     The canonical spec is a plain JSON-safe dict with every default made
     explicit — it is what gets journaled, fingerprinted, and executed.
-    ``priority`` rides outside the spec so that submitting the same work
-    at a different priority still deduplicates. Any problem raises
-    :class:`ConfigError` (the server answers 400; nothing is enqueued).
+    Any problem raises :class:`ConfigError` (the server answers 400;
+    nothing is enqueued).
     """
     if not isinstance(payload, Mapping):
         raise ConfigError(f"submission must be a JSON object, got {type(payload).__name__}")
     task = payload.get("task")
     if task not in TASKS:
         raise ConfigError(f"submission 'task' must be one of {TASKS}, got {task!r}")
-    priority = _require_int(payload.get("priority", 0), "priority")
-    _require_tags(payload.get("tags"))
-    known = {"task", "priority", "tags"}
+    known = {"task"}
     spec: Dict[str, Any] = {"task": task}
     if task == TASK_EXPERIMENT:
         known |= {"experiment", "params", "seed"}
@@ -151,123 +123,7 @@ def validate_submission(payload: Any) -> Tuple[Dict[str, Any], int]:
     unknown = sorted(set(payload) - known)
     if unknown:
         raise ConfigError(f"unknown submission field(s) {unknown} for task {task!r}")
-    return spec, priority
-
-
-def validate_batch_jobs(payload: Any) -> list:
-    """Shape-check a ``/jobs/submit_batch`` envelope; returns the entries.
-
-    Only the envelope (a ``{"jobs": [...]}`` object, non-empty, at most
-    :data:`MAX_BATCH` entries) is validated here — envelope problems are
-    a whole-request 400. Each entry is validated individually by the
-    server so that one bad spec rejects only that entry, never its batch
-    mates.
-    """
-    if not isinstance(payload, Mapping):
-        raise ConfigError(f"batch must be a JSON object, got {type(payload).__name__}")
-    unknown = sorted(set(payload) - {"jobs"})
-    if unknown:
-        raise ConfigError(f"unknown batch field(s) {unknown}")
-    jobs = payload.get("jobs")
-    if not isinstance(jobs, list) or not jobs:
-        raise ConfigError("batch needs a non-empty 'jobs' list of submissions")
-    if len(jobs) > MAX_BATCH:
-        raise ConfigError(f"batch of {len(jobs)} jobs exceeds the limit of {MAX_BATCH}")
-    return list(jobs)
-
-
-def validate_batch_status(payload: Any) -> Tuple[list, bool]:
-    """Canonicalize a ``/jobs/status_batch`` body: ``(ids, all_jobs)``.
-
-    Either ``{"ids": [...]}`` (explicit job ids, capped at
-    :data:`MAX_BATCH`) or ``{"all": true}`` (every job the server
-    knows); naming both is refused.
-    """
-    if not isinstance(payload, Mapping):
-        raise ConfigError(f"status batch must be a JSON object, got {type(payload).__name__}")
-    unknown = sorted(set(payload) - {"ids", "all"})
-    if unknown:
-        raise ConfigError(f"unknown status batch field(s) {unknown}")
-    all_jobs = payload.get("all", False)
-    if not isinstance(all_jobs, bool):
-        raise ConfigError(f"status batch 'all' must be a boolean, got {all_jobs!r}")
-    ids = payload.get("ids")
-    if all_jobs:
-        if ids is not None:
-            raise ConfigError("status batch takes 'ids' or 'all', not both")
-        return [], True
-    if not isinstance(ids, list) or not ids or not all(isinstance(i, str) and i for i in ids):
-        raise ConfigError("status batch needs a non-empty 'ids' list of job ids (or 'all': true)")
-    if len(ids) > MAX_BATCH:
-        raise ConfigError(f"status batch of {len(ids)} ids exceeds the limit of {MAX_BATCH}")
-    return list(ids), False
-
-
-def submission_tags(payload: Mapping[str, Any]) -> list:
-    """Routing tags of a submission body, canonicalized (sorted, unique).
-
-    Tags constrain *where* a job may run — a worker claims a job only
-    when its own tags cover the job's — and ride outside the canonical
-    spec so they never perturb fingerprints.
-    """
-    return _require_tags(payload.get("tags"))
-
-
-def validate_claim(payload: Any) -> Tuple[str, float, list]:
-    """Canonicalize a ``/jobs/claim`` body: ``(worker, lease_ttl, tags)``."""
-    if not isinstance(payload, Mapping):
-        raise ConfigError(f"claim must be a JSON object, got {type(payload).__name__}")
-    unknown = sorted(set(payload) - {"worker", "lease_ttl", "tags"})
-    if unknown:
-        raise ConfigError(f"unknown claim field(s) {unknown}")
-    worker = payload.get("worker")
-    if not isinstance(worker, str) or not worker:
-        raise ConfigError("claim needs a non-empty 'worker' id")
-    ttl = payload.get("lease_ttl", DEFAULT_LEASE_TTL)
-    if isinstance(ttl, bool) or not isinstance(ttl, (int, float)) or ttl <= 0:
-        raise ConfigError(f"'lease_ttl' must be a positive number of seconds, got {ttl!r}")
-    return worker, float(ttl), _require_tags(payload.get("tags"))
-
-
-def validate_complete(payload: Any) -> Dict[str, Any]:
-    """Canonicalize a ``/jobs/<id>/complete`` body.
-
-    Returns ``{"worker", "ok", "result", "error", "error_type",
-    "elapsed_s"}`` with defaults filled; the failure fields are required
-    exactly when ``ok`` is false.
-    """
-    if not isinstance(payload, Mapping):
-        raise ConfigError(f"completion must be a JSON object, got {type(payload).__name__}")
-    known = {"worker", "ok", "result", "error", "error_type", "elapsed_s"}
-    unknown = sorted(set(payload) - known)
-    if unknown:
-        raise ConfigError(f"unknown completion field(s) {unknown}")
-    worker = payload.get("worker")
-    if not isinstance(worker, str) or not worker:
-        raise ConfigError("completion needs a non-empty 'worker' id")
-    ok = _require_bool(payload.get("ok"), "ok")
-    result = payload.get("result")
-    if result is not None and not isinstance(result, Mapping):
-        raise ConfigError(f"'result' must be a JSON object, got {type(result).__name__}")
-    error = payload.get("error")
-    error_type = payload.get("error_type")
-    if not ok and (not isinstance(error, str) or not error):
-        raise ConfigError("a failed completion needs a non-empty 'error' traceback")
-    if error is not None and not isinstance(error, str):
-        raise ConfigError(f"'error' must be a string, got {type(error).__name__}")
-    if error_type is not None and not isinstance(error_type, str):
-        raise ConfigError(f"'error_type' must be a string, got {type(error_type).__name__}")
-    elapsed = payload.get("elapsed_s", 0.0)
-    if isinstance(elapsed, bool) or not isinstance(elapsed, (int, float)) or elapsed < 0:
-        raise ConfigError(f"'elapsed_s' must be a non-negative number, got {elapsed!r}")
-    return {
-        "worker": worker,
-        "ok": ok,
-        "result": None if result is None else dict(result),
-        "error": error,
-        "error_type": error_type,
-        "elapsed_s": float(elapsed),
-    }
+    return spec
 
 
 def fingerprint(spec: Mapping[str, Any], source_digest: str) -> str:
@@ -301,7 +157,6 @@ def job_view(record: JobRecord, result: bool = False) -> Dict[str, Any]:
         "task": record.task,
         "status": record.status,
         "spec": dict(record.spec),
-        "priority": record.priority,
         "attempts": record.attempt + (1 if executing else 0),
         "fingerprint": record.fingerprint,
         "cached": record.cached,
@@ -311,9 +166,6 @@ def job_view(record: JobRecord, result: bool = False) -> Dict[str, Any]:
         "error": record.error,
         "error_type": record.error_type,
         "has_result": record.result is not None,
-        "worker": record.worker,
-        "lease_expires_at": record.lease_expires_at,
-        "tags": list(record.tags),
     }
     if result:
         view["result"] = record.result
@@ -344,6 +196,4 @@ def extract_error(payload: Any, fallback: str) -> str:
 
 def view_is_terminal(view: Mapping[str, Any]) -> bool:
     """Whether a wire job view carries a terminal status."""
-    from repro.eval.journal import TERMINAL_JOB_STATUSES
-
     return view.get("status") in TERMINAL_JOB_STATUSES

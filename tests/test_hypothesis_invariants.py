@@ -112,7 +112,6 @@ _RECORDS = st.builds(
     task=st.sampled_from(["experiment", "sweep", "bench"]),
     status=st.sampled_from(JOB_STATUSES),
     spec=st.dictionaries(st.text(min_size=1, max_size=8), _SCALARS, max_size=4),
-    priority=st.integers(-9, 9),
     attempt=st.integers(0, 9),
     elapsed_s=st.floats(0, 1e6, allow_nan=False),
     error=st.one_of(st.none(), st.text(max_size=200)),

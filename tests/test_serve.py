@@ -20,7 +20,6 @@ import pytest
 
 from repro.errors import ConfigError, ServiceError
 from repro.eval.journal import (
-    CRASH_EXIT_CODE,
     JOB_CANCELLED,
     JOB_DONE,
     JOB_FAILED,
@@ -30,7 +29,6 @@ from repro.eval.journal import (
     RunJournal,
     read_journal,
 )
-from repro.eval.orchestrator import Orchestrator, PointRequest
 from repro.eval.registry import REGISTRY, ExperimentRegistry, experiment
 from repro.serve import schema
 from repro.serve.client import ServeClient
@@ -117,15 +115,9 @@ def free_port():
     return port
 
 
-def submit_experiment(client, name, priority=0, seed=0, params=None):
+def submit_experiment(client, name, seed=0, params=None):
     return client.submit(
-        {
-            "task": "experiment",
-            "experiment": name,
-            "params": params or {},
-            "seed": seed,
-            "priority": priority,
-        }
+        {"task": "experiment", "experiment": name, "params": params or {}, "seed": seed}
     )
 
 
@@ -138,7 +130,6 @@ class TestJobJournal:
             task="experiment",
             status=JOB_SUBMITTED,
             spec={"task": "experiment", "experiment": "x"},
-            priority=2,
             fingerprint="f" * 20,
             submitted_at=1.0,
             ts=1.0,
@@ -247,13 +238,17 @@ class TestJobStore:
         assert fresh.find_completed("fp1").job_id == record.job_id
         assert fresh.find_completed("other") is None
 
-    def test_priority_then_fifo_claim_order(self, tmp_path):
-        store = JobStore(str(tmp_path / "q"))
-        low1 = store.submit({"task": "bench"}, priority=0)
-        high = store.submit({"task": "bench"}, priority=5)
-        low2 = store.submit({"task": "bench"}, priority=0)
-        order = [store.claim().job_id for _ in range(3)]
-        assert order == [high.job_id, low1.job_id, low2.job_id]
+    def test_fifo_claim_order(self, tmp_path):
+        root = str(tmp_path / "q")
+        store = JobStore(root)
+        first, second, third = (store.submit({"task": "bench", "n": n}) for n in range(3))
+        assert store.claim().job_id == first.job_id
+        # A restart re-enqueues the running job in its submission place,
+        # ahead of the jobs queued after it.
+        reopened = JobStore(root)
+        order = [reopened.claim().job_id for _ in range(3)]
+        assert order == [first.job_id, second.job_id, third.job_id]
+        assert reopened.claim() is None
 
     def test_invalid_transitions(self, tmp_path):
         store = JobStore(str(tmp_path / "q"))
@@ -288,6 +283,37 @@ class TestJobStore:
         assert fresh.status == JOB_SUBMITTED and fresh.attempt == 1
         assert recovered.claim().job_id == record.job_id
 
+    def test_reopens_a_journal_with_retired_fields(self, tmp_path):
+        # Lines in the older format carry priority, worker, lease and tags
+        # fields. They open; a running job under a still-live lease comes
+        # back queued, and claims ignore the old priorities.
+        now = time.time()
+
+        def record(job_id, status, **fields):
+            line = JobRecord(job_id, "experiment", status, fingerprint=f"fp-{job_id}").to_json()
+            line.update(priority=0, worker="", lease_ttl=0.0, lease_expires_at=0.0, tags=[])
+            line.update(fields)
+            return line
+
+        lines = [
+            {"kind": "header", "schema": 1, "queue": "repro-serve", "compactions": 1},
+            record("done1", JOB_DONE, worker="w1", result={"text": "t"}, elapsed_s=0.5),
+            record("leased", JOB_SUBMITTED),
+            record("leased", JOB_RUNNING, worker="w2", lease_ttl=60.0, lease_expires_at=now + 3600),
+            record("urgent", JOB_SUBMITTED, priority=9, tags=["gpu"]),
+        ]
+        root = tmp_path / "q"
+        root.mkdir()
+        (root / "jobs.jsonl").write_text("".join(json.dumps(line) + "\n" for line in lines))
+        store = JobStore(str(root))
+        assert store.get("done1").status == JOB_DONE
+        assert store.find_completed("fp-done1").result == {"text": "t"}
+        leased = store.get("leased")
+        assert leased.status == JOB_SUBMITTED and leased.attempt == 1
+        assert [store.claim().job_id for _ in range(2)] == ["leased", "urgent"]
+        view = schema.job_view(store.get("urgent"))
+        assert not {"priority", "worker", "lease_expires_at", "tags"} & set(view)
+
     def test_torn_tail_is_survived(self, tmp_path):
         root = str(tmp_path / "q")
         store = JobStore(root)
@@ -303,19 +329,16 @@ class TestJobStore:
 
 class TestSubmissionSchema:
     def test_experiment_canonicalized(self):
-        spec, priority = schema.validate_submission(
-            {"task": "experiment", "experiment": "table1_config", "priority": 3}
-        )
+        spec = schema.validate_submission({"task": "experiment", "experiment": "table1_config"})
         assert spec == {
             "task": "experiment",
             "experiment": "table1_config",
             "params": {},
             "seed": 0,
         }
-        assert priority == 3
 
     def test_sweep_canonicalized(self, results_env, sweeps_env):
-        spec, _ = schema.validate_submission({"task": "sweep", "spec": "m22"})
+        spec = schema.validate_submission({"task": "sweep", "spec": "m22"})
         assert spec == {"task": "sweep", "spec": "m22", "quick": False, "limit": None}
 
     @pytest.mark.parametrize(
@@ -342,9 +365,10 @@ class TestSubmissionSchema:
             ({"task": "sweep", "spec": "m22", "limit": 0}, "'limit' must be positive"),
             ({"task": "sweep", "spec": "m22", "quick": 1}, "'quick' must be a boolean"),
             (
-                {"task": "experiment", "experiment": "table1_config", "priority": None},
-                "'priority' must be an integer",
+                {"task": "experiment", "experiment": "table1_config", "priority": 1},
+                "unknown submission field",
             ),
+            ({"task": "sweep", "spec": "m22", "tags": ["gpu"]}, "unknown submission field"),
             ({"task": "sweep", "spec": "m22", "shards": 2}, "unknown submission field"),
             ({"task": "sweep", "spec": "m22", "shard": "1/2"}, "unknown submission field"),
         ],
@@ -359,35 +383,6 @@ class TestSubmissionSchema:
         assert schema.fingerprint(spec_a, "d1") == schema.fingerprint(spec_b, "d1")
         assert schema.fingerprint(spec_a, "d1") != schema.fingerprint(spec_a, "d2")
         assert schema.fingerprint({**spec_a, "seed": 1}, "d1") != schema.fingerprint(spec_a, "d1")
-
-
-class TestPersistentPool:
-    def test_pool_is_reused_across_batches(self, results_env):
-        points = [
-            PointRequest(experiment="table1_config", label="pool/a"),
-            PointRequest(experiment="fig03_adam_slowdown", label="pool/b"),
-        ]
-        with Orchestrator(jobs=2, use_cache=False, verbose=False, persistent_pool=True) as orch:
-            orch.run_points(points, write_manifest=False, save_artifacts=False)
-            first_pool = orch._pool
-            assert first_pool is not None
-            orch.run_points(
-                [PointRequest(experiment="table1_config", label="pool/c")],
-                write_manifest=False,
-                save_artifacts=False,
-            )
-            # The single-point batch ran on the same warm pool, not inline
-            # and not on a throwaway executor.
-            assert orch._pool is first_pool
-        assert orch._pool is None  # the context manager shut it down
-
-    def test_broken_pool_is_recycled(self, results_env):
-        orch = Orchestrator(jobs=2, verbose=False, persistent_pool=True)
-        pool = orch._ensure_pool()
-        orch._pool_broken = True
-        fresh = orch._ensure_pool()
-        assert fresh is not pool and orch._pool_broken is False
-        orch.shutdown_pool()
 
 
 class TestServiceEndToEnd:
@@ -467,10 +462,8 @@ class TestServiceEndToEnd:
         with pytest.raises(ServiceError) as excinfo:
             client.submit({"task": "mystery"})
         assert excinfo.value.status == 400
-        # Bad requests are 400 by error type, even when the message says
-        # "lease" (as "release_notes" and "lease_probe" do).
+        # Bad requests are 400 by error type, whatever the message says.
         for request in (
-            lambda: client.claim("w", lease_ttl=-1),
             lambda: client.submit({"task": "sweep", "spec": "release_notes"}),
             lambda: client.submit({"task": "experiment", "experiment": "lease_probe"}),
         ):
@@ -480,6 +473,16 @@ class TestServiceEndToEnd:
         with pytest.raises(ServiceError) as excinfo:
             client._request("GET", "/nowhere")
         assert excinfo.value.status == 404
+        # The worker-fleet and batch endpoints are gone.
+        for path in (
+            "/jobs/claim",
+            "/jobs/submit_batch",
+            "/jobs/status_batch",
+            f"/jobs/{view['id']}/heartbeat",
+        ):
+            with pytest.raises(ServiceError) as excinfo:
+                client._request("POST", path, {})
+            assert excinfo.value.status == 404, path
 
     def test_keepalive_connection_survives_bodied_cancel(self, service):
         import http.client
@@ -553,6 +556,23 @@ class TestServiceEndToEnd:
         body = json.loads(excinfo.value.read())
         assert "not valid JSON" in body["error"]
 
+    def test_malformed_content_length_is_a_400(self, service):
+        svc, _ = service(start_executor=False)
+        with socket.create_connection(("127.0.0.1", svc.port), timeout=10) as sock:
+            sock.sendall(
+                b"POST /v1/jobs HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                b"Content-Type: application/json\r\nContent-Length: abc\r\n\r\n"
+            )
+            reply = b""
+            # The body cannot be framed, so the server answers and closes.
+            while chunk := sock.recv(4096):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400"), reply
+        assert b"Connection: close" in head
+        assert "Content-Length" in json.loads(body)["error"]
+        assert svc.store.total() == 0
+
     def test_health_and_list(self, service):
         svc, client = service(start_executor=False)
         submit_experiment(client, "table1_config")
@@ -618,6 +638,9 @@ class TestServiceEndToEnd:
                 JobService(port=port, verbose=False, queue_dir=str(tmp_path / "q"))
         finally:
             blocker.close()
+        # The queue was never opened: a live server on that port may own it,
+        # and opening runs restart recovery.
+        assert not (tmp_path / "q" / "jobs.jsonl").exists()
 
 
 class TestKillAndRestart:
@@ -809,387 +832,3 @@ class TestJobsCli:
 
         assert main(["serve", "--grace", "-1"]) == 2
         assert "--grace" in capsys.readouterr().err
-
-
-class TestBatchSchema:
-    def test_submit_batch_envelope(self):
-        assert schema.validate_batch_jobs({"jobs": [{"task": "bench"}]}) == [{"task": "bench"}]
-        with pytest.raises(ConfigError, match="JSON object"):
-            schema.validate_batch_jobs([{"task": "bench"}])
-        with pytest.raises(ConfigError, match="unknown batch field"):
-            schema.validate_batch_jobs({"jobs": [], "oops": 1})
-        with pytest.raises(ConfigError, match="non-empty 'jobs' list"):
-            schema.validate_batch_jobs({"jobs": []})
-        with pytest.raises(ConfigError, match="exceeds the limit"):
-            schema.validate_batch_jobs({"jobs": [{}] * (schema.MAX_BATCH + 1)})
-
-    def test_status_batch_body(self):
-        assert schema.validate_batch_status({"ids": ["a", "b"]}) == (["a", "b"], False)
-        assert schema.validate_batch_status({"all": True}) == ([], True)
-        with pytest.raises(ConfigError, match="not both"):
-            schema.validate_batch_status({"ids": ["a"], "all": True})
-        with pytest.raises(ConfigError, match="non-empty 'ids' list"):
-            schema.validate_batch_status({"ids": []})
-        with pytest.raises(ConfigError, match="non-empty 'ids' list"):
-            schema.validate_batch_status({})
-        with pytest.raises(ConfigError, match="must be a boolean"):
-            schema.validate_batch_status({"all": "yes"})
-        with pytest.raises(ConfigError, match="unknown status batch field"):
-            schema.validate_batch_status({"id": "a"})
-
-
-class TestBatchEndpoints:
-    def test_mixed_batch_rejects_only_bad_entries(self, service):
-        svc, client = service(start_executor=False)
-        answer = client.submit_batch(
-            [
-                {"task": "experiment", "experiment": "table1_config", "seed": 1},
-                {"task": "mystery"},
-                {"task": "experiment", "experiment": "table1_config", "seed": 2},
-                {"task": "experiment", "experiment": "no_such_experiment"},
-            ]
-        )
-        assert answer["accepted"] == 2 and answer["rejected"] == 2
-        entries = answer["jobs"]
-        assert entries[0]["status"] == JOB_SUBMITTED
-        assert entries[1] == {"index": 1, "error": entries[1]["error"]}
-        assert "mystery" in entries[1]["error"]
-        assert entries[2]["status"] == JOB_SUBMITTED
-        assert "no_such_experiment" in entries[3]["error"]
-        # The rejected entries were never enqueued, let alone journaled.
-        assert svc.store.total() == 2
-        assert {r.job_id for r in svc.store.jobs()} == {entries[0]["id"], entries[2]["id"]}
-
-    def test_batch_is_one_round_trip(self, service):
-        svc, _ = service(start_executor=False)
-        fresh = ServeClient(port=svc.port)
-        batch = [
-            {"task": "experiment", "experiment": "table1_config", "seed": seed}
-            for seed in range(50)
-        ]
-        answer = fresh.submit_batch(batch)
-        assert answer["accepted"] == 50
-        assert fresh.requests == 1  # M jobs, O(1) HTTP round trips
-        views = fresh.status_batch(ids=[v["id"] for v in answer["jobs"]])["jobs"]
-        assert fresh.requests == 2
-        assert [v["id"] for v in views] == [v["id"] for v in answer["jobs"]]
-
-    def test_duplicate_fingerprints_in_batch_are_cached(self, service, sweeps_env):
-        svc, client = service(start_executor=False)
-        body = {"task": "sweep", "spec": "m22"}
-        first = client.submit(dict(body))
-        claim = client.claim(worker="w1", lease_ttl=60.0)
-        assert claim["job"]["id"] == first["id"]
-        client.complete(first["id"], "w1", ok=True, result={"task": "sweep", "document": {}})
-        answer = client.submit_batch(
-            [dict(body), {"task": "experiment", "experiment": "table1_config"}, dict(body)]
-        )
-        assert answer["accepted"] == 3 and answer["rejected"] == 0
-        dup_a, unique, dup_b = answer["jobs"]
-        assert dup_a["cached"] is True and dup_a["status"] == JOB_DONE
-        assert dup_b["cached"] is True and dup_b["status"] == JOB_DONE
-        assert unique["cached"] is False and unique["status"] == JOB_SUBMITTED
-        assert client.result(dup_a["id"])["result"]["cached"] is True
-
-    def test_status_batch_ids_all_and_unknown(self, service):
-        svc, client = service(start_executor=False)
-        submitted = client.submit_batch(
-            [
-                {"task": "experiment", "experiment": "table1_config", "seed": seed}
-                for seed in range(3)
-            ]
-        )["jobs"]
-        ids = [v["id"] for v in submitted]
-        answer = client.status_batch(ids=[ids[0], "doesnotexist", ids[2]])
-        views = answer["jobs"]
-        assert views[0]["id"] == ids[0] and views[0]["status"] == JOB_SUBMITTED
-        assert views[1] == {"id": "doesnotexist", "error": views[1]["error"]}
-        assert "unknown job id" in views[1]["error"]
-        assert views[2]["id"] == ids[2]
-        everything = client.status_batch(all_jobs=True)
-        assert [v["id"] for v in everything["jobs"]] == ids  # submission order
-        assert everything["total"] == 3
-        with pytest.raises(ServiceError) as excinfo:
-            client._request("POST", "/jobs/status_batch", {"ids": [], "all": True})
-        assert excinfo.value.status == 400
-
-    def test_concurrent_claims_drain_batch_exactly_once(self, service):
-        svc, client = service(start_executor=False)
-        total = 40
-        claimed = []
-        stop = threading.Event()
-
-        def hammer():
-            worker = ServeClient(port=svc.port)
-            while not stop.is_set():
-                answer = worker.claim(worker="w", lease_ttl=120.0)
-                if answer["job"] is not None:
-                    claimed.append(answer["job"]["id"])
-                elif len(claimed) >= total:
-                    return
-
-        thread = threading.Thread(target=hammer)
-        thread.start()
-        try:
-            answer = client.submit_batch(
-                [
-                    {"task": "experiment", "experiment": "table1_config", "seed": seed}
-                    for seed in range(total)
-                ]
-            )
-            assert answer["accepted"] == total
-            deadline = time.time() + 60
-            while len(claimed) < total and time.time() < deadline:
-                time.sleep(0.02)
-        finally:
-            stop.set()
-            thread.join(timeout=30)
-        # Every batch job was claimable and claimed exactly once — a
-        # concurrent claimer saw none-or-all of the batch, never a
-        # half-journaled prefix.
-        assert sorted(claimed) == sorted(v["id"] for v in answer["jobs"])
-
-
-class TestLiveCompaction:
-    def churn(self, store, cycles):
-        ids = []
-        for i in range(cycles):
-            record = store.submit({"task": "bench", "seed": i}, fingerprint=f"fp{i}")
-            ids.append(record.job_id)
-            store.claim()
-            store.finish(record.job_id, JOB_DONE, result={"i": i})
-        return ids
-
-    def test_live_compaction_bounds_journal(self, tmp_path):
-        root = str(tmp_path / "q")
-        store = JobStore(root, compact_records=8)
-        ids = self.churn(store, 20)
-        view = read_journal(store.path)
-        assert int(view.header.get("compactions", 0)) >= 1
-        # 20 jobs x 3 transitions = 60 lines without compaction; the live
-        # file stays bounded by max(threshold, 2 x queue size).
-        assert len(view.jobs) <= max(store.compact_records, 2 * store.total())
-        assert not os.path.exists(store.path + ".compact.tmp")
-        reopened = JobStore(root, recover=False)
-        assert [reopened.get(job_id).status for job_id in ids] == [JOB_DONE] * 20
-        assert reopened.get(ids[-1]).result == {"i": 19}
-
-    def test_compact_records_knobs(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_COMPACT_RECORDS", "16")
-        store = JobStore(str(tmp_path / "q"))
-        assert store.compact_records == 16
-        assert JobStore(str(tmp_path / "q2"), compact_records=64).compact_records == 64
-        with pytest.raises(ConfigError, match="compact_records"):
-            JobStore(str(tmp_path / "q3"), compact_records=1)
-
-    def test_large_live_queue_is_not_thrashed(self, tmp_path):
-        # All-live journals (no superseded lines) must never be rewritten,
-        # even past the record threshold.
-        store = JobStore(str(tmp_path / "q"), compact_records=4)
-        for i in range(12):
-            store.submit({"task": "bench", "seed": i})
-        view = read_journal(store.path)
-        assert int(view.header.get("compactions", 0)) == 0
-        assert len(view.jobs) == 12
-
-    def test_kill_during_compaction_loses_no_records(self, tmp_path):
-        root = str(tmp_path / "queue")
-        child = (
-            "import sys\n"
-            "from repro.serve.store import JobStore\n"
-            "from repro.eval.journal import JOB_DONE\n"
-            "store = JobStore(sys.argv[1], compact_records=8)\n"
-            "for i in range(100):\n"
-            "    record = store.submit({'task': 'bench', 'seed': i}, fingerprint=f'fp{i}')\n"
-            "    print(record.job_id, flush=True)\n"
-            "    store.claim()\n"
-            "    store.finish(record.job_id, JOB_DONE, result={'i': i})\n"
-            "print('NOCRASH', flush=True)\n"
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.join(REPO, "src")] + env.get("PYTHONPATH", "").split(os.pathsep)
-        ).rstrip(os.pathsep)
-        env["REPRO_STORE_CRASH_IN_COMPACT"] = "1"
-        done = subprocess.run(
-            [sys.executable, "-c", child, root],
-            env=env,
-            cwd=REPO,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        # The store hard-exited inside its first live compaction, after
-        # the snapshot was durable but before the atomic swap.
-        assert done.returncode == CRASH_EXIT_CODE, done.stderr
-        printed = [line for line in done.stdout.split() if line != "NOCRASH"]
-        assert printed and "NOCRASH" not in done.stdout
-        store_path = os.path.join(root, "jobs.jsonl")
-        assert os.path.exists(store_path + ".compact.tmp")
-        # The journal itself is intact: every id the child announced is
-        # still there (the crash can only have journaled one *extra*
-        # un-announced record, never lost one).
-        survivors = {r.job_id for r in read_journal(store_path).jobs}
-        assert set(printed) <= survivors
-        assert len(survivors) - len(set(printed)) <= 1
-        store = JobStore(root)  # reopen: cleans the tmp, replays, compacts
-        assert not os.path.exists(store_path + ".compact.tmp")
-        for job_id in printed:
-            assert store.get(job_id).status in (JOB_SUBMITTED, JOB_RUNNING, JOB_DONE)
-
-    def test_listing_mid_compaction_sees_committed_state(self, tmp_path):
-        # The `repro jobs list` regression: a listing racing a live
-        # compaction must block on the store lock and then see the full
-        # committed queue — never a half-written snapshot.
-        store = JobStore(str(tmp_path / "q"), compact_records=10_000)
-        ids = self.churn(store, 6)  # 18 lines, 6 jobs: plenty superseded
-        paused = threading.Event()
-        release = threading.Event()
-        snapshot = store._write_snapshot
-
-        def slow_snapshot(tmp, header):
-            paused.set()
-            assert release.wait(timeout=30)
-            snapshot(tmp, header)
-
-        store._write_snapshot = slow_snapshot
-        compactor = threading.Thread(target=store._compact)
-        compactor.start()
-        assert paused.wait(timeout=30)
-        try:
-            # On-disk journal is still the old, complete one (the tmp
-            # file is invisible to readers of jobs.jsonl).
-            view = read_journal(store.path)
-            assert {r.job_id for r in view.jobs} == set(ids)
-            listing = {}
-            lister = threading.Thread(target=lambda: listing.setdefault("jobs", store.jobs()))
-            lister.start()
-            lister.join(timeout=0.3)
-            assert "jobs" not in listing  # blocked on committed state
-        finally:
-            release.set()
-        compactor.join(timeout=30)
-        lister.join(timeout=30)
-        assert {r.job_id for r in listing["jobs"]} == set(ids)
-        compacted = read_journal(store.path)
-        assert len(compacted.jobs) == 6
-        assert {r.job_id for r in compacted.jobs} == set(ids)
-
-    def test_http_list_mid_compaction_is_complete(self, service):
-        svc, client = service(start_executor=False)
-        batch = client.submit_batch(
-            [
-                {"task": "experiment", "experiment": "table1_config", "seed": seed}
-                for seed in range(5)
-            ]
-        )
-        ids = {v["id"] for v in batch["jobs"]}
-        for job_id in list(ids)[:3]:
-            client.cancel(job_id)  # superseded lines so _compact has work
-        store = svc.store
-        paused = threading.Event()
-        release = threading.Event()
-        snapshot = store._write_snapshot
-
-        def slow_snapshot(tmp, header):
-            paused.set()
-            assert release.wait(timeout=30)
-            snapshot(tmp, header)
-
-        store._write_snapshot = slow_snapshot
-        compactor = threading.Thread(target=store._compact)
-        compactor.start()
-        assert paused.wait(timeout=30)
-        listing = {}
-        lister = threading.Thread(target=lambda: listing.setdefault("jobs", client.jobs()))
-        lister.start()
-        try:
-            lister.join(timeout=0.3)
-            assert "jobs" not in listing  # the GET is waiting, not guessing
-        finally:
-            release.set()
-        compactor.join(timeout=30)
-        lister.join(timeout=30)
-        assert {v["id"] for v in listing["jobs"]} == ids
-
-
-class TestJobsCliBatch:
-    def test_batch_file_array_and_jsonl(self, service, tmp_path, capsys):
-        from repro.cli import main
-
-        svc, _ = service(start_executor=False)
-        port = str(svc.port)
-        array_file = tmp_path / "batch.json"
-        array_file.write_text(
-            json.dumps(
-                [
-                    {"task": "experiment", "experiment": "table1_config", "seed": 1},
-                    {"task": "mystery"},
-                ]
-            )
-        )
-        assert main(["jobs", "submit", "--batch-file", str(array_file), "--port", port]) == 1
-        captured = capsys.readouterr()
-        assert "1 accepted, 1 rejected" in captured.out
-        assert "entry 1: error" in captured.err and "mystery" in captured.err
-        jsonl_file = tmp_path / "batch.jsonl"
-        jsonl_file.write_text(
-            '{"task": "experiment", "experiment": "table1_config", "seed": 2}\n'
-            '{"task": "experiment", "experiment": "table1_config", "seed": 3}\n'
-        )
-        code = main(["jobs", "submit", "--batch-file", str(jsonl_file), "--port", port, "--json"])
-        assert code == 0
-        answer = json.loads(capsys.readouterr().out)
-        assert answer["accepted"] == 2 and answer["rejected"] == 0
-        assert svc.store.total() == 3
-
-    def test_batch_file_misuse_is_exit_2(self, service, tmp_path, capsys):
-        from repro.cli import main
-
-        svc, _ = service(start_executor=False)
-        port = str(svc.port)
-        batch = tmp_path / "b.json"
-        batch.write_text('[{"task": "sweep"}]')
-        code = main(["jobs", "submit", "sweep", "--batch-file", str(batch), "--port", port])
-        assert code == 2
-        assert "no positional task" in capsys.readouterr().err
-        code = main(["jobs", "submit", "--batch-file", str(batch), "--seed", "7", "--port", port])
-        assert code == 2
-        assert "--seed" in capsys.readouterr().err
-        assert main(["jobs", "submit", "--port", port]) == 2
-        assert "or --batch-file" in capsys.readouterr().err
-        empty = tmp_path / "empty.json"
-        empty.write_text("  \n")
-        assert main(["jobs", "submit", "--batch-file", str(empty), "--port", port]) == 2
-        assert "is empty" in capsys.readouterr().err
-        torn = tmp_path / "torn.jsonl"
-        torn.write_text('{"task": "sweep"}\n{oops\n')
-        assert main(["jobs", "submit", "--batch-file", str(torn), "--port", port]) == 2
-        assert "line 2" in capsys.readouterr().err
-
-    def test_status_multi_id_and_all(self, service, capsys):
-        from repro.cli import main
-
-        svc, client = service(start_executor=False)
-        port = str(svc.port)
-        views = client.submit_batch(
-            [
-                {"task": "experiment", "experiment": "table1_config", "seed": seed}
-                for seed in range(2)
-            ]
-        )["jobs"]
-        a, b = views[0]["id"], views[1]["id"]
-        assert main(["jobs", "status", a, b, "--port", port]) == 0
-        out = capsys.readouterr().out
-        assert a in out and b in out
-        assert main(["jobs", "status", "--all", "--port", port]) == 0
-        out = capsys.readouterr().out
-        assert a in out and b in out
-        # An unknown id among several is a per-entry error and exit 2.
-        assert main(["jobs", "status", a, "nope", "--port", port]) == 2
-        captured = capsys.readouterr()
-        assert a in captured.out and "unknown job id" in captured.err
-        assert main(["jobs", "status", a, "--all", "--port", port]) == 2
-        assert "not both" in capsys.readouterr().err
-        assert main(["jobs", "status", "--port", port]) == 2
-        assert "at least one job id" in capsys.readouterr().err
