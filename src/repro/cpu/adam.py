@@ -109,7 +109,7 @@ class AdamExperiment:
         sync_before = analyzer.stats.scope("meta_table")["sync_lines"]
         batch = adam_iteration_batch(self._groups, self._trace_config, self._rng)
         vns = analyzer.replay_window(batch.vaddr, batch.kind)
-        vaddrs, kinds, _, _ = batch.columns()
+        vaddrs, kinds = batch.columns()
         truth = self._truth
         for vaddr, kind, vn in zip(vaddrs, kinds, vns):
             if kind == KIND_READ:

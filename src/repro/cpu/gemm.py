@@ -48,7 +48,7 @@ class GemmExperiment:
         analyzer = self.analyzer
         analyzer.reset_rate_counters()
         batch = gemm_batch(self.a, self.b, self.c, self.config)
-        vaddrs, kinds, _, _ = batch.columns()
+        vaddrs, kinds = batch.columns()
         vns = analyzer.replay_window(vaddrs, kinds)
         truth = self._truth
         for vaddr, kind, vn in zip(vaddrs, kinds, vns):

@@ -25,7 +25,6 @@ from repro.cpu.tenanalyzer.tensor_filter import TensorFilter
 from repro.cpu.tenanalyzer.vn_store import OffChipVnStore
 from repro.errors import ConfigError
 from repro.sim.stats import Stats
-from repro.sim.trace import MemAccess
 from repro.sim.trace_batch import KIND_READ
 from repro.units import CACHELINE_BYTES
 
@@ -111,10 +110,6 @@ class TenAnalyzer:
 
     # -- dataflow for reading (Fig. 10) ---------------------------------------
 
-    def on_read(self, access: MemAccess) -> ReadResult:
-        """Classify a read and provide its VN (object-trace entry point)."""
-        return self.on_read_va(access.vaddr)
-
     def on_read_va(self, vaddr: int) -> ReadResult:
         """Classify a read by virtual address and provide its VN."""
         if not self.enabled:
@@ -157,10 +152,6 @@ class TenAnalyzer:
         return offchip_vn
 
     # -- dataflow for writing (Fig. 12) ---------------------------------------
-
-    def on_write(self, access: MemAccess, mac_delta: int = 0) -> WriteResult:
-        """Track a write-back (object-trace entry point)."""
-        return self.on_write_va(access.vaddr, mac_delta)
 
     def on_write_va(self, vaddr: int, mac_delta: int = 0) -> WriteResult:
         """Track a write-back; returns the VN to encrypt the line under.
@@ -217,9 +208,8 @@ class TenAnalyzer:
         """Replay one columnar trace window; returns the per-access VNs.
 
         ``vaddrs``/``kinds`` are :class:`repro.sim.trace_batch.TraceBatch`
-        columns, as the batch's arrays or as ``columns()`` lists; any
-        non-read kind is replayed as a write-back, matching the experiment
-        drivers' historical handling.
+        columns, as the batch's arrays or as ``columns()`` lists; each kind
+        is ``KIND_READ`` or ``KIND_WRITE`` (a write-back).
 
         The window is split once into maximal runs of same-kind,
         line-contiguous accesses, and each run is applied in steps:

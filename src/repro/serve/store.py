@@ -46,12 +46,14 @@ def default_queue_dir() -> str:
 class JobStore:
     """The durable queue: submit, claim, finish, cancel — all journaled."""
 
-    def __init__(self, root: Optional[str] = None, recover: bool = True) -> None:
+    def __init__(self, root: Optional[str] = None) -> None:
         """Open (or create) the queue at ``root`` and replay its journal.
 
         Opening journals a ``resume`` marker on an existing queue (after
-        truncating any crash-torn tail). With ``recover`` (the default)
-        dead-server recovery runs before the store is handed out.
+        truncating any crash-torn tail), and dead-server recovery runs
+        before the store is handed out. Opening is never read-only: to
+        look at a queue another server may own, read its journal with
+        :func:`~repro.eval.journal.read_journal` instead.
         """
         self.root = root or default_queue_dir()
         self.path = os.path.join(self.root, "jobs.jsonl")
@@ -69,8 +71,7 @@ class JobStore:
             self._journal = RunJournal.start(
                 self.path, {"queue": "repro-serve", "created_at": time.time()}
             )
-        if recover:
-            self.recover()
+        self.recover()
 
     def recover(self) -> None:
         """Re-enqueue jobs a dead server left mid-execution.

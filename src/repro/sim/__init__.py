@@ -1,7 +1,5 @@
-"""Simulation kernel: clock domains, statistics, discrete-event engine."""
+"""Simulation kernel: statistics and memory-trace batches."""
 
-from repro.sim.clock import Clock
-from repro.sim.engine import Event, EventEngine
 from repro.sim.stats import Stats
 
-__all__ = ["Clock", "Event", "EventEngine", "Stats"]
+__all__ = ["Stats"]

@@ -25,7 +25,6 @@ from repro.npu.delayed import DelayedVerificationEngine
 from repro.npu.mac import OnChipTensorMacTable
 from repro.npu.vn import TensorVnTable
 from repro.sim.stats import Stats
-from repro.sim.trace import AccessKind, MemAccess
 from repro.tensor.dtype import DType
 from repro.tensor.registry import TensorRegistry
 from repro.tensor.tensor import TensorDesc
@@ -77,8 +76,7 @@ class CpuSecureDevice:
             raise ConfigError(f"{tensor.name}: bad payload size {len(data)}")
         for i, vaddr in enumerate(tensor.line_addresses()):
             chunk = data[i * LINE : (i + 1) * LINE].ljust(LINE, b"\x00")
-            access = MemAccess(vaddr, AccessKind.WRITE, tensor_id=tensor.tensor_id)
-            outcome = self.analyzer.on_write(access)
+            outcome = self.analyzer.on_write_va(vaddr)
             old_mac, new_mac = self.mee.write_line(vaddr, chunk, vn=outcome.vn)
             self.analyzer.fold_mac(vaddr, old_mac ^ new_mac)
 
@@ -86,8 +84,7 @@ class CpuSecureDevice:
         """Read a whole tensor through the analyzer + MEE (verifying)."""
         chunks = []
         for vaddr in tensor.line_addresses():
-            access = MemAccess(vaddr, AccessKind.READ, tensor_id=tensor.tensor_id)
-            outcome = self.analyzer.on_read(access)
+            outcome = self.analyzer.on_read_va(vaddr)
             chunks.append(self.mee.read_line(vaddr, vn=outcome.vn))
         return b"".join(chunks)[: tensor.nbytes]
 

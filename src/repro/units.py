@@ -4,8 +4,8 @@ Everything in the simulator is expressed in a small set of base units:
 
 - sizes in **bytes** (with ``KiB``/``MiB``/``GiB`` helpers),
 - bandwidth in **bytes per second**,
-- time in **seconds** (cycle counts are converted through a clock domain,
-  see :mod:`repro.sim.clock`).
+- time in **seconds** (each component converts its cycle counts with its
+  own clock frequency, such as ``NpuConfig.freq_hz``).
 """
 
 from __future__ import annotations

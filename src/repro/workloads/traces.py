@@ -24,7 +24,6 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.sim.trace import MemAccess
 from repro.sim.trace_batch import KIND_READ, KIND_WRITE, TraceBatch
 from repro.tensor.dtype import DType
 from repro.tensor.registry import TensorRegistry
@@ -107,14 +106,10 @@ def build_adam_groups(
             )
             fused = None
         else:
-            fused = registry.allocate(
-                f"{prefix}.fused", (elems32, len(roles)), DType.FP32, "fused"
-            )
+            fused = registry.allocate(f"{prefix}.fused", (elems32, len(roles)), DType.FP32, "fused")
             role_tensors = tuple(
                 registry.register_view(
-                    replace(
-                        fused.select(1, slot, name=f"{prefix}.{sfx}"), role=role
-                    )
+                    replace(fused.select(1, slot, name=f"{prefix}.{sfx}"), role=role)
                 )
                 for slot, (role, sfx) in enumerate(zip(roles, suffixes))
             )
@@ -133,6 +128,14 @@ def build_adam_groups(
     return groups
 
 
+def _require_positive(config: Any, fields: Sequence[str]) -> None:
+    """Reject a trace config whose named size is zero or negative."""
+    for name in fields:
+        value = getattr(config, name)
+        if value <= 0:
+            raise ConfigError(f"{type(config).__name__}.{name} must be positive, got {value}")
+
+
 @dataclass
 class AdamTraceConfig:
     """Shape of the generated Adam iteration trace."""
@@ -146,9 +149,22 @@ class AdamTraceConfig:
     write_lag_bursts: int = 4
     seed: int = 1234
 
+    def __post_init__(self) -> None:
+        _require_positive(self, ("threads", "burst_lines"))
+        # A thread that always skips its turn never finishes the iteration.
+        if not 0 <= self.thread_skew < 1:
+            raise ConfigError(
+                f"AdamTraceConfig.thread_skew must be in [0, 1), got {self.thread_skew}"
+            )
+        if self.write_lag_bursts < 0:
+            raise ConfigError(
+                "AdamTraceConfig.write_lag_bursts must not be negative, "
+                f"got {self.write_lag_bursts}"
+            )
 
-#: Per-thread, per-layer column stream: (vaddr, kind, tensor_id, burst bounds).
-_ThreadColumns = Tuple[List[int], List[int], List[int], List[Tuple[int, int]]]
+
+#: Per-thread, per-layer column stream: (vaddr, kind, burst bounds).
+_ThreadColumns = Tuple[List[int], List[int], List[Tuple[int, int]]]
 
 
 def _thread_layer_columns(
@@ -175,7 +191,6 @@ def _thread_layer_columns(
     n_read_bursts = -(-n // burst_lines)
     vaddr: List[int] = []
     kind: List[int] = []
-    tensor_id: List[int] = []
     bounds: List[Tuple[int, int]] = []
     w16_cursor = 0
     for burst_index in range(n_read_bursts + write_lag_bursts):
@@ -183,57 +198,41 @@ def _thread_layer_columns(
         start = burst_index * burst_lines
         stop = min(start + burst_lines, n)
         if start < n:
-            for role_tensor, lines in (
-                (group.weight32, w32),
-                (group.momentum, m),
-                (group.variance, v),
-                (group.grad32, g),
-            ):
+            for lines in (w32, m, v, g):
                 segment = lines[start:stop]
-                if segment:
-                    vaddr.extend(segment)
-                    kind.extend([KIND_READ] * len(segment))
-                    tensor_id.extend([role_tensor.tensor_id] * len(segment))
+                vaddr.extend(segment)
+                kind.extend([KIND_READ] * len(segment))
         wb_index = burst_index - write_lag_bursts
         wb_start = wb_index * burst_lines
         wb_stop = min(wb_start + burst_lines, n)
         if wb_index >= 0 and wb_start < n:
-            for role_tensor, lines in (
-                (group.weight32, w32),
-                (group.momentum, m),
-                (group.variance, v),
-            ):
+            for lines in (w32, m, v):
                 segment = lines[wb_start:wb_stop]
-                if segment:
-                    vaddr.extend(segment)
-                    kind.extend([KIND_WRITE] * len(segment))
-                    tensor_id.extend([role_tensor.tensor_id] * len(segment))
+                vaddr.extend(segment)
+                kind.extend([KIND_WRITE] * len(segment))
             # fp16 output advances at half the fp32 line rate.
             w16_target = min(len(w16), (wb_stop * len(w16) + n - 1) // n)
             segment = w16[w16_cursor:w16_target]
-            if segment:
-                vaddr.extend(segment)
-                kind.extend([KIND_WRITE] * len(segment))
-                tensor_id.extend([group.weight16.tensor_id] * len(segment))
+            vaddr.extend(segment)
+            kind.extend([KIND_WRITE] * len(segment))
             w16_cursor = w16_target
         if len(vaddr) > burst_start:
             bounds.append((burst_start, len(vaddr)))
-    return vaddr, kind, tensor_id, bounds
+    return vaddr, kind, bounds
 
 
 class _LayerStreams(NamedTuple):
     """Every thread's bursts for one layer, built once per group and shape."""
 
-    #: vaddr, kind, thread and tensor_id arrays, thread-major. Kind and
-    #: thread are stored narrow to keep the cache small; ``TraceBatch``
-    #: widens every column to int64.
+    #: vaddr and kind arrays, thread-major. Kind is stored narrow to keep
+    #: the cache small; ``TraceBatch`` widens it to int64.
     columns: Tuple[Any, ...]
     #: Per thread, each burst's ``[start, stop)`` span of ``columns``.
     bursts: List[List[Tuple[int, int]]]
 
 
 #: Column dtypes of :class:`_LayerStreams`.
-_STREAM_DTYPES = ("int64", "int8", "int16", "int64")
+_STREAM_DTYPES = ("int64", "int8")
 
 
 def _layer_streams(group: AdamGroup, config: AdamTraceConfig) -> _LayerStreams:
@@ -246,15 +245,13 @@ def _layer_streams(group: AdamGroup, config: AdamTraceConfig) -> _LayerStreams:
     key = (config.threads, config.burst_lines, config.write_lag_bursts)
     streams = group._streams.get(key)
     if streams is None:
-        rows: Tuple[List[int], ...] = ([], [], [], [])
+        rows: Tuple[List[int], ...] = ([], [])
         bursts = []
         for t in range(config.threads):
-            t_vaddr, t_kind, t_tensor, bounds = _thread_layer_columns(group, t, *key)
+            t_vaddr, t_kind, bounds = _thread_layer_columns(group, t, *key)
             offset = len(rows[0])
             rows[0].extend(t_vaddr)
             rows[1].extend(t_kind)
-            rows[2].extend([t] * len(t_vaddr))
-            rows[3].extend(t_tensor)
             bursts.append([(offset + start, offset + stop) for start, stop in bounds])
         columns = tuple(np.array(row, dtype=dtype) for row, dtype in zip(rows, _STREAM_DTYPES))
         streams = _LayerStreams(columns, bursts)
@@ -304,28 +301,11 @@ def adam_iteration_batch(
         index = np.arange(ends[-1]) + np.repeat(first - (ends - lengths), lengths)
         parts.append([column[index] for column in streams.columns])
     if not parts:
-        return TraceBatch.empty()
-    return TraceBatch.from_columns(*(np.concatenate(column) for column in zip(*parts)))
-
-
-def adam_iteration_trace(
-    groups: Sequence[AdamGroup],
-    config: AdamTraceConfig,
-    rng: random.Random | None = None,
-) -> List[MemAccess]:
-    """Object view of :func:`adam_iteration_batch` (legacy API)."""
-    return adam_iteration_batch(groups, config, rng).to_accesses()
+        return TraceBatch((), ())
+    return TraceBatch(*(np.concatenate(column) for column in zip(*parts)))
 
 
 # -- tiled GEMM -------------------------------------------------------------
-
-
-def _require_positive(config: Any, fields: Sequence[str]) -> None:
-    """Reject a tiled-walk config whose named size is zero or negative."""
-    for name in fields:
-        value = getattr(config, name)
-        if value <= 0:
-            raise ConfigError(f"{type(config).__name__}.{name} must be positive, got {value}")
 
 
 @dataclass
@@ -361,13 +341,7 @@ def build_gemm_tensors(
     return a, b, c
 
 
-def gemm_batch(
-    a: TensorDesc,
-    b: TensorDesc,
-    c: TensorDesc,
-    config: GemmConfig,
-    thread: int = 0,
-) -> TraceBatch:
+def gemm_batch(a: TensorDesc, b: TensorDesc, c: TensorDesc, config: GemmConfig) -> TraceBatch:
     """One full tiled GEMM pass (output-stationary: C written once per tile).
 
     Loop order: for each output tile (i, j): accumulate over k reading A and
@@ -376,15 +350,12 @@ def gemm_batch(
     """
     vaddr: List[int] = []
     kind: List[int] = []
-    tensor_id: List[int] = []
 
     def emit_rows(t: TensorDesc, row0: int, col0: int, rows: int, cols: int, code: int) -> None:
-        tid = t.tensor_id
         for r in range(row0, row0 + rows):
-            lines = list(t.tile_row_lines(r, col0, cols))
+            lines = t.tile_row_lines(r, col0, cols)
             vaddr.extend(lines)
             kind.extend([code] * len(lines))
-            tensor_id.extend([tid] * len(lines))
 
     for i0 in range(0, config.m, config.tile_m):
         for j0 in range(0, config.n, config.tile_n):
@@ -393,18 +364,7 @@ def gemm_batch(
                 emit_rows(b, k0, j0, config.tile_k, config.tile_n, KIND_READ)
             emit_rows(c, i0, j0, config.tile_m, config.tile_n, KIND_READ)
             emit_rows(c, i0, j0, config.tile_m, config.tile_n, KIND_WRITE)
-    return TraceBatch.from_columns(vaddr, kind, [thread] * len(vaddr), tensor_id)
-
-
-def gemm_trace(
-    a: TensorDesc,
-    b: TensorDesc,
-    c: TensorDesc,
-    config: GemmConfig,
-    thread: int = 0,
-) -> List[MemAccess]:
-    """Object view of :func:`gemm_batch` (legacy API)."""
-    return gemm_batch(a, b, c, config, thread).to_accesses()
+    return TraceBatch(vaddr, kind)
 
 
 # -- blockwise attention (QK^T / softmax / V) --------------------------------
@@ -435,9 +395,7 @@ class AttentionConfig:
             (self.seq_len, self.block_k, "block_k"),
         ):
             if total % block:
-                raise ConfigError(
-                    f"seq_len={total} not divisible by {label}={block}"
-                )
+                raise ConfigError(f"seq_len={total} not divisible by {label}={block}")
 
 
 @dataclass
@@ -502,9 +460,9 @@ def build_attention_tensors(
     return AttentionTensors(layout=layout, heads=heads, **tensors)
 
 
-#: One run of a burst: a row block's line addresses (``int64``), their
-#: access-kind code and their tensor id.
-_Segment = Tuple[np.ndarray, int, int]
+#: One run of a burst: a row block's line addresses (``int64``) and their
+#: access-kind code.
+_Segment = Tuple[np.ndarray, int]
 
 
 def _attention_head_bursts(head: AttentionHead, config: AttentionConfig) -> List[List[_Segment]]:
@@ -532,46 +490,35 @@ def _attention_head_bursts(head: AttentionHead, config: AttentionConfig) -> List
     o_blocks = block_lines(head.o, config.block_q)
     k_blocks = block_lines(head.k, config.block_k)
     v_blocks = block_lines(head.v, config.block_k)
-    q_id, k_id, v_id, o_id = (t.tensor_id for t in (head.q, head.k, head.v, head.o))
     bursts: List[List[_Segment]] = []
     for q_lines, o_lines in zip(q_blocks, o_blocks):
-        bursts.append([(q_lines, KIND_READ, q_id)])
+        bursts.append([(q_lines, KIND_READ)])
         for k_lines, v_lines in zip(k_blocks, v_blocks):
             # Rescale: the O block is re-read and re-written every key
             # block — within one logical update round, so a covering Meta
             # Table entry sees the same line written twice (Assert1).
             bursts.append(
                 [
-                    (k_lines, KIND_READ, k_id),
-                    (v_lines, KIND_READ, v_id),
-                    (o_lines, KIND_READ, o_id),
-                    (o_lines, KIND_WRITE, o_id),
+                    (k_lines, KIND_READ),
+                    (v_lines, KIND_READ),
+                    (o_lines, KIND_READ),
+                    (o_lines, KIND_WRITE),
                 ]
             )
     return bursts
 
 
-def attention_batch(
-    tensors: AttentionTensors, config: AttentionConfig
-) -> TraceBatch:
+def attention_batch(tensors: AttentionTensors, config: AttentionConfig) -> TraceBatch:
     """One attention layer as seen by the memory controller.
 
     One hardware thread per head; the controller sees the deterministic
     round-robin interleave of per-head bursts; every head has the same
     number of bursts, so the interleave goes turn by turn. The columns
-    are the concatenated block arrays, with each block's kind, thread and
-    tensor id repeated over its lines.
+    are the concatenated block arrays, with each block's kind repeated
+    over its lines.
     """
     per_head = [_attention_head_bursts(h, config) for h in tensors.heads]
-    segments: List[_Segment] = []
-    threads: List[int] = []
-    for turn in zip(*per_head):
-        for thread, burst in enumerate(turn):
-            segments.extend(burst)
-            threads.extend([thread] * len(burst))
-    blocks, kinds, tensor_ids = zip(*segments)
+    segments = [segment for turn in zip(*per_head) for burst in turn for segment in burst]
+    blocks, kinds = zip(*segments)
     lengths = [len(block) for block in blocks]
-    return TraceBatch.from_columns(
-        np.concatenate(blocks),
-        *(np.repeat(np.array(c, dtype=np.int64), lengths) for c in (kinds, threads, tensor_ids)),
-    )
+    return TraceBatch(np.concatenate(blocks), np.repeat(np.array(kinds, dtype=np.int64), lengths))

@@ -61,9 +61,7 @@ class TestCpuDevice:
         if entry is not None:
             cpu.analyzer.table.invalidate(entry, reason="test")
         # One extra line write makes per-line VNs inconsistent.
-        from repro.sim.trace import AccessKind, MemAccess
-
-        outcome = cpu.analyzer.on_write(MemAccess(t.base_va, AccessKind.WRITE))
+        outcome = cpu.analyzer.on_write_va(t.base_va)
         cpu.mee.write_line(t.base_va, bytes(64), vn=outcome.vn)
         with pytest.raises(IntegrityError):
             cpu.tensor_metadata(t)

@@ -14,10 +14,10 @@ from repro.eval.cache import cache_key
 from repro.eval.journal import JOB_STATUSES, JobRecord, RunJournal, read_journal
 from repro.eval.registry import normalize_params
 from repro.mem.mee import FunctionalMee
-from repro.sim.trace import AccessKind, MemAccess
+from repro.sim.trace_batch import KIND_READ
 from repro.tensor.registry import TensorRegistry
 from repro.units import KiB
-from repro.workloads.traces import GemmConfig, build_gemm_tensors, gemm_trace
+from repro.workloads.traces import GemmConfig, build_gemm_tensors, gemm_batch
 
 LINE = 64
 
@@ -35,14 +35,14 @@ def test_gemm_vn_consistency_any_tiling(tile, passes):
     analyzer = TenAnalyzer()
     truth = {}
     for _ in range(passes):
-        for access in gemm_trace(a, b, c, config):
-            if access.kind is AccessKind.READ:
-                result = analyzer.on_read(access)
-                assert result.vn == truth.get(access.vaddr, 0)
+        for vaddr, kind in zip(*gemm_batch(a, b, c, config).columns()):
+            if kind == KIND_READ:
+                result = analyzer.on_read_va(vaddr)
+                assert result.vn == truth.get(vaddr, 0)
             else:
-                outcome = analyzer.on_write(access)
-                truth[access.vaddr] = truth.get(access.vaddr, 0) + 1
-                assert outcome.vn == truth[access.vaddr]
+                outcome = analyzer.on_write_va(vaddr)
+                truth[vaddr] = truth.get(vaddr, 0) + 1
+                assert outcome.vn == truth[vaddr]
 
 
 @given(
@@ -163,9 +163,9 @@ def test_mee_analyzer_composition_confidential_and_fresh(ops):
     for line, is_write, data in ops:
         va = 0x40000 + line * LINE
         if is_write or va not in contents:
-            outcome = analyzer.on_write(MemAccess(va, AccessKind.WRITE))
+            outcome = analyzer.on_write_va(va)
             mee.write_line(va, data, vn=outcome.vn)
             contents[va] = data
         else:
-            result = analyzer.on_read(MemAccess(va, AccessKind.READ))
+            result = analyzer.on_read_va(va)
             assert mee.read_line(va, vn=result.vn) == contents[va]

@@ -275,9 +275,13 @@ class TestJobStore:
         store = JobStore(root)
         record = store.submit({"task": "bench"})
         store.claim()
-        # "Crash": drop the store with the job still running.
-        peek = JobStore(root, recover=False)
-        assert peek.get(record.job_id).status == JOB_RUNNING
+        # "Crash": drop the store with the job still running. A look at
+        # the journal leaves it byte-identical.
+        with open(store.path, "rb") as f:
+            journal = f.read()
+        assert read_journal(store.path).last_by_job()[record.job_id].status == JOB_RUNNING
+        with open(store.path, "rb") as f:
+            assert f.read() == journal
         recovered = JobStore(root)
         fresh = recovered.get(record.job_id)
         assert fresh.status == JOB_SUBMITTED and fresh.attempt == 1
@@ -324,7 +328,9 @@ class TestJobStore:
         assert reopened.get(record.job_id).status == JOB_SUBMITTED
         # The torn tail was truncated away; new appends stay parseable.
         reopened.claim()
-        assert JobStore(root, recover=False).get(record.job_id).status == JOB_RUNNING
+        view = read_journal(reopened.path)
+        assert not view.truncated
+        assert view.last_by_job()[record.job_id].status == JOB_RUNNING
 
 
 class TestSubmissionSchema:
@@ -686,9 +692,9 @@ class TestKillAndRestart:
             args + ["--once", "--grace", "0.2"], env=env, cwd=REPO, timeout=240
         )
         assert restarted.returncode == 0
-        store = JobStore(queue_dir, recover=False)
-        assert store.get(a["id"]).status == JOB_DONE
-        assert store.get(b["id"]).status == JOB_DONE
+        jobs = read_journal(os.path.join(queue_dir, "jobs.jsonl")).last_by_job()
+        assert jobs[a["id"]].status == JOB_DONE
+        assert jobs[b["id"]].status == JOB_DONE
 
 
 class TestJobsCli:

@@ -1,28 +1,6 @@
-"""Simulation kernel: clock, stats, event engine, trace helpers."""
+"""Simulation kernel: statistics."""
 
-import pytest
-
-from repro.errors import ConfigError, SimulationError
-from repro.sim.clock import CPU_CLOCK, NPU_CLOCK, Clock
-from repro.sim.engine import EventEngine
 from repro.sim.stats import Stats
-from repro.sim import trace
-from repro.sim.trace import AccessKind, MemAccess, interleave_round_robin
-from repro.sim.trace_batch import TraceBatch
-
-
-class TestClock:
-    def test_table1_domains(self):
-        assert CPU_CLOCK.freq_hz == 3.5e9
-        assert NPU_CLOCK.freq_hz == 1e9
-
-    def test_cycle_conversion_roundtrip(self):
-        clock = Clock("x", 2e9)
-        assert clock.seconds_to_cycles(clock.cycles_to_seconds(1234)) == pytest.approx(1234)
-
-    def test_rejects_nonpositive_frequency(self):
-        with pytest.raises(ConfigError):
-            Clock("bad", 0)
 
 
 class TestStats:
@@ -50,71 +28,3 @@ class TestStats:
         s.scope("c").add("x")
         s.reset()
         assert s.scope("c")["x"] == 0
-
-
-class TestEventEngine:
-    def test_time_ordering(self):
-        eng = EventEngine()
-        order = []
-        eng.at(3.0, lambda: order.append("c"))
-        eng.at(1.0, lambda: order.append("a"))
-        eng.at(2.0, lambda: order.append("b"))
-        eng.run()
-        assert order == ["a", "b", "c"]
-
-    def test_fifo_within_same_time(self):
-        eng = EventEngine()
-        order = []
-        eng.at(1.0, lambda: order.append(1))
-        eng.at(1.0, lambda: order.append(2))
-        eng.run()
-        assert order == [1, 2]
-
-    def test_cancelled_events_skipped(self):
-        eng = EventEngine()
-        fired = []
-        event = eng.at(1.0, lambda: fired.append(1))
-        event.cancel()
-        eng.run()
-        assert not fired
-
-    def test_cannot_schedule_in_past(self):
-        eng = EventEngine()
-        eng.at(5.0, lambda: None)
-        eng.run()
-        with pytest.raises(SimulationError):
-            eng.at(1.0, lambda: None)
-
-    def test_run_until_stops_clock(self):
-        eng = EventEngine()
-        eng.at(10.0, lambda: None)
-        eng.run(until=5.0)
-        assert eng.now == 5.0
-        assert eng.pending == 1
-
-
-class TestTrace:
-    def test_reads_writes_wrappers(self):
-        r = TraceBatch.reads([0, 64], thread=1, tensor_id=7).to_accesses()
-        w = TraceBatch.writes([128]).to_accesses()
-        assert all(a.kind is AccessKind.READ for a in r)
-        assert r[0].thread == 1 and r[0].tensor_id == 7
-        assert w[0].is_write()
-
-    def test_deprecated_free_functions_removed(self):
-        assert not hasattr(trace, "reads")
-        assert not hasattr(trace, "writes")
-
-    def test_interleave_preserves_all_accesses(self):
-        s1 = TraceBatch.reads(range(0, 640, 64)).to_accesses()
-        s2 = TraceBatch.writes(range(1024, 1664, 64)).to_accesses()
-        merged = interleave_round_robin([s1, s2], chunk=3)
-        assert len(merged) == len(s1) + len(s2)
-        assert [a for a in merged if a.is_write()] == s2
-
-    def test_interleave_chunking(self):
-        s1 = [MemAccess(i * 64) for i in range(4)]
-        s2 = [MemAccess(4096 + i * 64) for i in range(4)]
-        merged = interleave_round_robin([s1, s2], chunk=2)
-        assert merged[:2] == s1[:2]
-        assert merged[2:4] == s2[:2]

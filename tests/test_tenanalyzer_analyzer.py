@@ -11,22 +11,21 @@ from repro.cpu.tenanalyzer.analyzer import ReadKind, WriteKind
 from repro.cpu.tenanalyzer.meta_table import MetaTable
 from repro.cpu.tenanalyzer.tensor_filter import TensorFilter
 from repro.errors import ConfigError
-from repro.sim.trace import AccessKind, MemAccess
-from repro.sim.trace_batch import TraceBatch
+from repro.sim.trace_batch import KIND_READ, KIND_WRITE, TraceBatch
 from repro.tensor.registry import TensorRegistry
 from repro.units import KiB
-from repro.workloads.traces import AdamTraceConfig, adam_iteration_trace, build_adam_groups
+from repro.workloads.traces import AdamTraceConfig, adam_iteration_batch, build_adam_groups
 
 LINE = 64
 BASE = 0x10000
 
 
 def read(analyzer, va):
-    return analyzer.on_read(MemAccess(va, AccessKind.READ))
+    return analyzer.on_read_va(va)
 
 
 def write(analyzer, va):
-    return analyzer.on_write(MemAccess(va, AccessKind.WRITE))
+    return analyzer.on_write_va(va)
 
 
 class TestArgumentChecks:
@@ -235,26 +234,27 @@ class TestTransferInstall:
 
 
 #: How a trace reaches the analyzer: one access at a time through
-#: ``on_read``/``on_write``, or as a whole window through ``replay_window``.
+#: ``on_read_va``/``on_write_va``, or as a whole window through
+#: ``replay_window``.
 MODES = ("per_access", "replay")
 
 
-def _check_vns(analyzer, accesses, mode, truth):
-    """Feed ``accesses`` in ``mode`` and check every VN against ``truth``."""
+def _check_vns(analyzer, batch, mode, truth):
+    """Feed ``batch`` in ``mode`` and check every VN against ``truth``."""
+    vaddrs, kinds = batch.columns()
     if mode == "replay":
-        vaddrs, kinds, _, _ = TraceBatch.from_accesses(accesses).columns()
         vns = analyzer.replay_window(vaddrs, kinds)
     else:
         vns = [
-            analyzer.on_read(a).vn if a.kind is AccessKind.READ else analyzer.on_write(a).vn
-            for a in accesses
+            analyzer.on_read_va(va).vn if kind == KIND_READ else analyzer.on_write_va(va).vn
+            for va, kind in zip(vaddrs, kinds)
         ]
-    for access, vn in zip(accesses, vns):
-        if access.kind is AccessKind.READ:
-            assert vn == truth.get(access.vaddr, 0)
+    for vaddr, kind, vn in zip(vaddrs, kinds, vns):
+        if kind == KIND_READ:
+            assert vn == truth.get(vaddr, 0)
         else:
-            truth[access.vaddr] = truth.get(access.vaddr, 0) + 1
-            assert vn == truth[access.vaddr]
+            truth[vaddr] = truth.get(vaddr, 0) + 1
+            assert vn == truth[vaddr]
 
 
 class TestVnConsistencyInvariant:
@@ -272,7 +272,7 @@ class TestVnConsistencyInvariant:
             rng = random.Random(seed)
             truth = {}
             for _ in range(3):
-                _check_vns(analyzer, adam_iteration_trace(groups, config, rng), mode, truth)
+                _check_vns(analyzer, adam_iteration_batch(groups, config, rng), mode, truth)
 
     @given(seed=st.integers(0, 2**16))
     @settings(max_examples=8, deadline=None)
@@ -280,11 +280,9 @@ class TestVnConsistencyInvariant:
         rng = random.Random(seed)
         lines = [BASE + i * LINE for i in range(64)]
         accesses = [
-            MemAccess(
-                rng.choice(lines),
-                AccessKind.READ if rng.random() < 0.5 else AccessKind.WRITE,
-            )
+            (rng.choice(lines), KIND_READ if rng.random() < 0.5 else KIND_WRITE)
             for _ in range(600)
         ]
+        batch = TraceBatch(*zip(*accesses))
         for mode in MODES:
-            _check_vns(TenAnalyzer(capacity=16), accesses, mode, {})
+            _check_vns(TenAnalyzer(capacity=16), batch, mode, {})

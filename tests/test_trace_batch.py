@@ -1,8 +1,8 @@
-"""Columnar trace batches: round-trip properties and oracle parity.
+"""Batched passes and trace generators: parity with their references.
 
-This file is the contract behind the batched replay passes: the object
-API and the columnar :class:`~repro.sim.trace_batch.TraceBatch` view are
-lossless bridges of each other, and every batched pass produces results
+This file is the contract behind the batched replay passes: every
+batched pass, and every generator of
+:class:`~repro.sim.trace_batch.TraceBatch` columns, produces results
 identical to its per-element reference — an oracle in ``tests/oracles/``
 or a per-element production API. The cache-layer docstrings
 (:mod:`repro.mem.cache`) point here for the LRU-semantics parity
@@ -14,8 +14,6 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from oracles import meta_table as meta_table_oracle
 from oracles import metadata as metadata_oracle
 from oracles import pipeline as pipeline_oracle
@@ -30,8 +28,7 @@ from repro.mem.cache import LruCacheCore
 from repro.mem.mee import FunctionalMee
 from repro.npu.config import NpuConfig
 from repro.npu.pipeline import simulate_delayed_pipeline, simulate_granule_pipeline
-from repro.sim.trace import AccessKind, MemAccess, interleave_round_robin
-from repro.sim.trace_batch import KIND_INST, KIND_READ, KIND_WRITE, TraceBatch
+from repro.sim.trace_batch import KIND_READ, KIND_WRITE, TraceBatch
 from repro.tensor.dtype import DType
 from repro.tensor.registry import TensorRegistry
 from repro.tensor.tensor import TensorDesc
@@ -49,15 +46,6 @@ from repro.workloads.traces import (
 )
 
 LINE = CACHELINE_BYTES
-
-#: Arbitrary but representative accesses: any int64 address, every kind.
-access_st = st.builds(
-    MemAccess,
-    st.integers(0, 1 << 61),
-    st.sampled_from(list(AccessKind)),
-    st.integers(0, 63),
-    st.integers(-1, 1 << 20),
-)
 
 
 def _bursty_script(seed, windows=8, bursts=60):
@@ -88,15 +76,15 @@ def _bursty_script(seed, windows=8, bursts=60):
             if rng.random() < 0.3:
                 cursors[t] = rng.randrange(96)
             n_lines = rng.randint(1, 8)
-            kind = rng.choice((KIND_READ, KIND_READ, KIND_READ, KIND_WRITE, KIND_INST))
+            kind = rng.choice((KIND_READ,) * 3 + (KIND_WRITE,) * 2)
             if kind != KIND_READ and rng.random() < 0.3:
                 cursors[t] = max(0, cursors[t] - rng.randint(1, 4))
             vaddrs.extend(bases[t] + (cursors[t] + i) * LINE for i in range(n_lines))
             kinds.extend([kind] * n_lines)
             if kind == KIND_READ or rng.random() < 0.5:
                 cursors[t] = (cursors[t] + n_lines) % 128
-        batch = TraceBatch.from_columns(vaddrs, kinds, [0] * len(vaddrs), [-1] * len(vaddrs))
-        columns = (batch.vaddr, batch.kind) if window % 2 else batch.columns()[:2]
+        batch = TraceBatch(vaddrs, kinds)
+        columns = (batch.vaddr, batch.kind) if window % 2 else batch.columns()
         steps.append(("replay", *columns))
     return steps
 
@@ -247,60 +235,6 @@ def _analyzer_state(analyzer):
         "filter_entries": list(filt._entries),
         "vn_store": dict(analyzer.vn_store._vn),
     }
-
-
-# -- round-trip properties -----------------------------------------------------
-
-
-class TestRoundTrip:
-    def test_kind_codes_match_enum_order(self):
-        kinds = list(AccessKind)
-        assert kinds[KIND_READ] is AccessKind.READ
-        assert kinds[KIND_WRITE] is AccessKind.WRITE
-        assert kinds[KIND_INST] is AccessKind.INST
-
-    @given(accesses=st.lists(access_st, max_size=64))
-    @settings(max_examples=100, deadline=None)
-    def test_from_accesses_to_accesses_identity(self, accesses):
-        batch = TraceBatch.from_accesses(accesses)
-        assert len(batch) == len(accesses)
-        assert batch.to_accesses() == accesses
-        assert list(batch) == accesses  # __iter__ is the object view
-
-    @given(accesses=st.lists(access_st, max_size=64))
-    @settings(max_examples=100, deadline=None)
-    def test_columnarize_is_mode_independent(self, accesses):
-        # Columnarizing objects and building from columns give one batch.
-        columns = (
-            [a.vaddr for a in accesses],
-            [list(AccessKind).index(a.kind) for a in accesses],
-            [a.thread for a in accesses],
-            [a.tensor_id for a in accesses],
-        )
-        batch = TraceBatch.from_accesses(accesses)
-        assert batch == TraceBatch.from_columns(*columns)
-        assert batch.columns() == columns
-
-    @given(accesses=st.lists(access_st, max_size=64), size=st.integers(1, 16))
-    @settings(max_examples=100, deadline=None)
-    def test_windows_concat_identity(self, accesses, size):
-        batch = TraceBatch.from_accesses(accesses)
-        windows = list(batch.windows(size))
-        assert sum(len(w) for w in windows) == len(batch)
-        assert TraceBatch.concat(windows) == batch
-
-    @given(
-        streams=st.lists(st.lists(access_st, max_size=24), max_size=5),
-        chunk=st.integers(1, 8),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_interleave_matches_object_reference(self, streams, chunk):
-        merged = TraceBatch.interleave_round_robin(
-            [TraceBatch.from_accesses(s) for s in streams], chunk=chunk
-        )
-        assert merged.to_accesses() == interleave_round_robin(
-            [list(s) for s in streams], chunk=chunk
-        )
 
 
 # -- parity of the batched replay passes with their references --------------
@@ -480,8 +414,8 @@ class TestModeParity:
         groups = build_adam_groups(registry, n_layers=3, lines_per_tensor=32)
         rng, reference_rng = random.Random(99), random.Random(99)
         for config in configs:
-            expected = traces_oracle.adam_iteration_objects(groups, config, reference_rng)
-            assert adam_iteration_batch(groups, config, rng) == TraceBatch.from_accesses(expected)
+            expected = traces_oracle.adam_iteration_columns(groups, config, reference_rng)
+            assert adam_iteration_batch(groups, config, rng).columns() == expected
             assert rng.getstate() == reference_rng.getstate()  # identical skew-RNG consumption
 
     @pytest.mark.parametrize("capacity, replacement, stride_detect, enabled", REPLAY_CONFIGS)
@@ -547,12 +481,12 @@ class TestModeParity:
             )
             registry = TensorRegistry(guard_bytes=PAGE_BYTES)
             tensors = build_attention_tensors(registry, config, layout)
-            expected = TraceBatch.from_accesses(traces_oracle.attention_objects(tensors, config))
-            assert attention_batch(tensors, config) == expected, (head_dim, n_heads)
+            expected = traces_oracle.attention_columns(tensors, config)
+            assert attention_batch(tensors, config).columns() == expected, (head_dim, n_heads)
 
     def test_gemm_generator_parity(self):
         registry = TensorRegistry(alignment=4 * KiB, guard_bytes=256 * KiB)
         config = GemmConfig(m=64, n=64, k=64, tile_m=32, tile_n=32, tile_k=32)
         a, b, c = build_gemm_tensors(registry, config)
-        expected = traces_oracle.gemm_objects(a, b, c, config, thread=2)
-        assert gemm_batch(a, b, c, config, thread=2) == TraceBatch.from_accesses(expected)
+        expected = traces_oracle.gemm_columns(a, b, c, config)
+        assert gemm_batch(a, b, c, config).columns() == expected

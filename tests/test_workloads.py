@@ -3,15 +3,16 @@
 import pytest
 
 from repro.errors import ConfigError
+from repro.sim.trace_batch import KIND_WRITE
 from repro.workloads.models import MODEL_ZOO, SCALING_PRESETS, model_by_name, scaled_model
 from repro.workloads.traces import (
     AdamTraceConfig,
     AttentionConfig,
     GemmConfig,
-    adam_iteration_trace,
+    adam_iteration_batch,
     build_adam_groups,
     build_gemm_tensors,
-    gemm_trace,
+    gemm_batch,
 )
 from repro.workloads.transformer import TransformerInventory
 from repro.workloads.zero_offload import ADAM_BYTES_PER_PARAM, ZeroOffloadSchedule
@@ -96,11 +97,11 @@ class TestZeroOffload:
 class TestAdamTrace:
     def test_every_line_read_and_written_once(self, registry):
         groups = build_adam_groups(registry, n_layers=2, lines_per_tensor=32)
-        trace = adam_iteration_trace(groups, AdamTraceConfig(threads=4, thread_skew=0.0))
+        batch = adam_iteration_batch(groups, AdamTraceConfig(threads=4, thread_skew=0.0))
         reads, writes = {}, {}
-        for acc in trace:
-            bucket = writes if acc.is_write() else reads
-            bucket[acc.vaddr] = bucket.get(acc.vaddr, 0) + 1
+        for vaddr, kind in zip(*batch.columns()):
+            bucket = writes if kind == KIND_WRITE else reads
+            bucket[vaddr] = bucket.get(vaddr, 0) + 1
         # Reads: w32/m/v/g once each; writes: w32/m/v (+w16) once each.
         assert all(count == 1 for count in reads.values())
         assert all(count == 1 for count in writes.values())
@@ -116,14 +117,13 @@ class TestAdamTrace:
 
     def test_write_lag(self, registry):
         groups = build_adam_groups(registry, n_layers=1, lines_per_tensor=32)
-        trace = adam_iteration_trace(
+        batch = adam_iteration_batch(
             groups, AdamTraceConfig(threads=1, thread_skew=0.0, write_lag_bursts=4)
         )
-        w32 = groups[0].weight32
-        first_write = next(i for i, a in enumerate(trace) if a.is_write())
-        reads_before = sum(
-            1 for a in trace[:first_write] if not a.is_write() and a.tensor_id == w32.tensor_id
-        )
+        vaddrs, kinds = batch.columns()
+        w32_lines = set(groups[0].weight32.line_addresses())
+        first_write = kinds.index(KIND_WRITE)
+        reads_before = sum(vaddr in w32_lines for vaddr in vaddrs[:first_write])
         assert reads_before >= 4 * 4  # lag bursts x burst lines
 
     def test_deterministic_given_seed(self, registry):
@@ -131,21 +131,37 @@ class TestAdamTrace:
         cfg = AdamTraceConfig(threads=2, seed=99)
         import random
 
-        t1 = adam_iteration_trace(groups, cfg, random.Random(1))
-        t2 = adam_iteration_trace(groups, cfg, random.Random(1))
-        assert t1 == t2
+        t1 = adam_iteration_batch(groups, cfg, random.Random(1))
+        t2 = adam_iteration_batch(groups, cfg, random.Random(1))
+        assert t1.columns() == t2.columns()
 
     def test_too_small_tensor_rejected(self, registry):
         with pytest.raises(ConfigError):
             build_adam_groups(registry, n_layers=1, lines_per_tensor=4)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("threads", 0),
+            ("threads", -2),
+            ("burst_lines", 0),
+            ("thread_skew", 1.0),
+            ("thread_skew", -0.1),
+            ("write_lag_bursts", -1),
+        ],
+    )
+    def test_bad_shape_rejected(self, field, value):
+        # Skew 1.0 skips every turn forever, zero threads or burst lines
+        # crash the generator, and a negative lag writes before reading.
+        with pytest.raises(ConfigError, match=f"AdamTraceConfig.{field} must"):
+            AdamTraceConfig(**{field: value})
 
 
 class TestGemmTrace:
     def test_trace_covers_matrices(self, registry):
         cfg = GemmConfig(m=128, n=128, k=128, tile_m=32, tile_n=32, tile_k=32)
         a, b, c = build_gemm_tensors(registry, cfg)
-        trace = gemm_trace(a, b, c, cfg)
-        touched = {acc.vaddr for acc in trace}
+        touched = set(gemm_batch(a, b, c, cfg).vaddr.tolist())
         for t in (a, b, c):
             assert set(t.line_addresses()) <= touched
 
@@ -153,9 +169,9 @@ class TestGemmTrace:
         cfg = GemmConfig(m=128, n=128, k=128, tile_m=32, tile_n=32, tile_k=32)
         a, b, c = build_gemm_tensors(registry, cfg)
         writes = {}
-        for acc in gemm_trace(a, b, c, cfg):
-            if acc.is_write():
-                writes[acc.vaddr] = writes.get(acc.vaddr, 0) + 1
+        for vaddr, kind in zip(*gemm_batch(a, b, c, cfg).columns()):
+            if kind == KIND_WRITE:
+                writes[vaddr] = writes.get(vaddr, 0) + 1
         assert set(writes) == set(c.line_addresses())
         assert all(count == 1 for count in writes.values())
 
