@@ -78,6 +78,14 @@ class AdamExperiment:
     def __post_init__(self) -> None:
         if self.config.n_layers <= 0:
             raise ConfigError("need at least one layer")
+        # Checks the trace shape before the groups and the analyzer are built.
+        self._trace_config = AdamTraceConfig(
+            threads=self.config.threads,
+            burst_lines=self.config.burst_lines,
+            thread_skew=self.config.thread_skew,
+            write_lag_bursts=self.config.write_lag_bursts,
+            seed=self.config.seed,
+        )
         self._registry = TensorRegistry(alignment=4 * KiB, guard_bytes=256 * KiB)
         self._groups = build_adam_groups(
             self._registry, self.config.n_layers, self.config.lines_per_tensor
@@ -85,13 +93,6 @@ class AdamExperiment:
         self.analyzer = TenAnalyzer(
             capacity=self.config.meta_table_capacity,
             merge_window=self.config.merge_window,
-        )
-        self._trace_config = AdamTraceConfig(
-            threads=self.config.threads,
-            burst_lines=self.config.burst_lines,
-            thread_skew=self.config.thread_skew,
-            write_lag_bursts=self.config.write_lag_bursts,
-            seed=self.config.seed,
         )
         self._rng = random.Random(self.config.seed)
         self._truth: Dict[int, int] = {}

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.mem.cache import LruCacheCore
 from repro.mem.metadata_cache import KEY_SHIFT, MAC_BASE, TREE_BASE
@@ -26,8 +24,6 @@ VNS_PER_LINE = 8
 MACS_PER_LINE = 8
 #: Merkle tree arity (8-ary, Table 1 baseline).
 TREE_ARITY = 8
-#: Slots per block of precomputed sampler columns (bounds their memory).
-SLOT_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -90,13 +86,12 @@ def measure_sgx_metadata(
     stride = max(1, protected_lines // streams)
     per_stream = max(1, sample_lines // streams)
     writes_every = max(2, round(1.0 / max(write_fraction, 1e-6)))
-    stream_base = np.arange(streams, dtype=np.int64) * (stride + 137)
+    stream_base = [stream * (stride + 137) for stream in range(streams)]
 
     core = LruCacheCore.for_cache(metadata_cache_bytes, ways=8)
     sets = core.sets
     n_sets = core.n_sets
     ways = core.ways
-    set_objects = np.array(sets, dtype=object)
     tree_base = [TREE_BASE + (level << KEY_SHIFT) for level in range(levels + 1)]
     tree_write_base = tree_base[1]
 
@@ -121,26 +116,44 @@ def measure_sgx_metadata(
     read_txns = 0
     write_misses = 0
     dependent = 0
-    # Per-slot columns, built one block of positions at a time, in interleave
-    # order: position-major, stream-minor.
-    block = max(1, SLOT_BLOCK // streams)
-    for first in range(0, per_stream, block):
-        pos = np.arange(first, min(first + block, per_stream), dtype=np.int64)
-        line = ((pos[:, None] + stream_base) % protected_lines).ravel()
-        vn = line // VNS_PER_LINE
-        mac = MAC_BASE + line // MACS_PER_LINE
-        t1 = tree_write_base + vn // TREE_ARITY
-        columns = zip(
-            set_objects[vn % n_sets].tolist(),
-            (vn // n_sets).tolist(),
-            set_objects[mac % n_sets].tolist(),
-            (mac // n_sets).tolist(),
-            set_objects[t1 % n_sets].tolist(),
-            (t1 // n_sets).tolist(),
-            vn.tolist(),
-            np.repeat(pos % writes_every == 0, streams).tolist(),
-        )
-        for vn_set, vn_tag, mac_set, mac_tag, t1_set, t1_tag, vn_line, is_write in columns:
+    # A stream's key is its VN line and the set objects and tags of its VN,
+    # MAC and T1 lines. It holds for a visit: the run of positions until the
+    # stream's walk enters a new VN or MAC line (every VNS_PER_LINE
+    # positions, sooner when it wraps to line 0). ring[p % span] lists the
+    # streams whose next visit starts at position p; no visit is longer than
+    # the ring, so each stream sits in exactly one bucket.
+    span = max(VNS_PER_LINE, MACS_PER_LINE)
+    ring = [list(range(streams))] + [[] for _ in range(span - 1)]
+    keys = [()] * streams
+    for pos in range(per_stream):
+        slot = pos % span
+        due = ring[slot]
+        if due:
+            ring[slot] = []
+            for stream in due:
+                line = (pos + stream_base[stream]) % protected_lines
+                vn = line // VNS_PER_LINE
+                mac = MAC_BASE + line // MACS_PER_LINE
+                t1 = tree_write_base + vn // TREE_ARITY
+                keys[stream] = (
+                    sets[vn % n_sets],
+                    vn // n_sets,
+                    sets[mac % n_sets],
+                    mac // n_sets,
+                    sets[t1 % n_sets],
+                    t1 // n_sets,
+                    vn,
+                )
+                visit = min(
+                    VNS_PER_LINE - line % VNS_PER_LINE,
+                    MACS_PER_LINE - line % MACS_PER_LINE,
+                    protected_lines - line,
+                )
+                ring[(pos + visit) % span].append(stream)
+        # One round of slots in stream order: the interleave is
+        # position-major, stream-minor.
+        is_write = pos % writes_every == 0
+        for vn_set, vn_tag, mac_set, mac_tag, t1_set, t1_tag, vn_line in keys:
             if vn_set is mac_set:
                 recent = reversed(vn_set)
                 if next(recent, None) == mac_tag and next(recent, None) == vn_tag:

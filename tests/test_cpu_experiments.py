@@ -1,7 +1,10 @@
 """CPU experiment drivers and timing model (Figs. 3, 18, 19 + GEMM claim)."""
 
+import tracemalloc
+
 import pytest
 
+from repro.cpu import adam
 from repro.cpu.adam import AdamExperiment, AdamExperimentConfig
 from repro.cpu.config import CpuConfig
 from repro.cpu.gemm import GemmExperiment
@@ -11,7 +14,7 @@ from repro.cpu.softvn import softvn_costs
 from repro.cpu.tensortee_mode import AnalyzerRates, tensortee_costs
 from repro.cpu.timing import adam_latency, non_secure_costs, slowdown
 from repro.errors import ConfigError
-from repro.units import GiB
+from repro.units import GiB, KiB
 from repro.workloads.traces import GemmConfig
 
 P = 345_000_000
@@ -32,6 +35,17 @@ class TestMetadataModel:
         assert 0.15 < t.read_txns_per_line < 1.0
         assert t.write_txns_per_line > 0
         assert t.metadata_hit_rate > 0.5
+
+    def test_transient_memory_stays_small(self):
+        # Keys are built per stream and visit, not per slot: a call holds a
+        # few tuples and ring buckets, whatever its sample size.
+        tracemalloc.start()
+        try:
+            measure_sgx_metadata(4 * GiB, sample_lines=4000, streams=8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * KiB
 
     @pytest.mark.parametrize("streams", [0, -2])
     def test_non_positive_streams_is_a_config_error(self, streams):
@@ -104,6 +118,18 @@ class TestAdamExperiment:
         )
         first = experiment.run_iteration()
         assert first.hit_in > 0.15  # grad reads hit the installed entries
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("threads", 0), ("burst_lines", 0), ("thread_skew", 1.0), ("write_lag_bursts", -1)],
+    )
+    def test_bad_trace_shape_rejected_before_setup(self, monkeypatch, field, value):
+        def build_adam_groups(*args, **kwargs):
+            raise AssertionError("Adam groups built for a trace shape that is rejected")
+
+        monkeypatch.setattr(adam, "build_adam_groups", build_adam_groups)
+        with pytest.raises(ConfigError, match=f"AdamTraceConfig.{field} must"):
+            AdamExperiment(AdamExperimentConfig(**{field: value}))
 
 
 class TestGemmExperiment:

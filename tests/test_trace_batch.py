@@ -19,7 +19,6 @@ from oracles import metadata as metadata_oracle
 from oracles import pipeline as pipeline_oracle
 from oracles import traces as traces_oracle
 
-from repro.cpu import metadata_model
 from repro.cpu.metadata_model import measure_sgx_metadata
 from repro.cpu.tenanalyzer import TenAnalyzer
 from repro.eval.scenarios import mee_cache_geometry
@@ -273,6 +272,31 @@ def _sampler_grid(points=40, seed=16):
     return grid + [(42013, alias)]
 
 
+def _wrapping_sampler_grid():
+    """``measure_sgx_metadata`` arguments whose streams each wrap the
+    region at least three times, over 1 to 11 streams.
+
+    Regions of 1, 5, 13 and 4,001 lines are not multiples of
+    ``VNS_PER_LINE``: a stream's visit to the last VN line ends early, when
+    its walk wraps to line 0. On the small regions every key stays cached,
+    so a stream keyed to the wrong lines shows mostly on the 4,001-line
+    points, which overflow their caches.
+    """
+    caches = (512, 5 * KiB, 32 * KiB, 40 * KiB)
+    fractions = (0.2, 1, 0.45)
+    shapes = [((1, 5, 13)[streams % 3], streams) for streams in range(1, 12)]
+    grid = []
+    for i, (lines, streams) in enumerate(shapes + [(4001, 1), (4001, 2)]):
+        kwargs = dict(
+            sample_lines=streams * (3 * lines + 11),
+            write_fraction=fractions[i % len(fractions)],
+            metadata_cache_bytes=caches[i % len(caches)],
+            streams=streams,
+        )
+        grid.append((64 * lines, kwargs))
+    return grid
+
+
 def _run_script(analyzer, replay, script):
     """Apply a replay script's steps to ``analyzer``, checking the line
     index after each; returns the VNs of each replay step and the final
@@ -346,14 +370,12 @@ class TestModeParity:
         assert core.writebacks == cache.writebacks
         assert core.flush() == cache.flush()
 
-    def test_sgx_metadata_parity(self, monkeypatch):
-        grid = _sampler_grid()
-        expected = [metadata_oracle.measure_sgx_metadata(size, **kw) for size, kw in grid]
-        assert [measure_sgx_metadata(size, **kw) for size, kw in grid] == expected
-        # 13-slot blocks (1 to 13 positions, by stream count) put a
-        # column-block boundary every few positions of every point.
-        monkeypatch.setattr(metadata_model, "SLOT_BLOCK", 13)
-        assert [measure_sgx_metadata(size, **kw) for size, kw in grid] == expected
+    def test_sgx_metadata_parity(self):
+        # On the wrapping points, each wrap to line 0 ends a visit before
+        # VNS_PER_LINE positions have passed.
+        for grid in (_sampler_grid(), _wrapping_sampler_grid()):
+            expected = [metadata_oracle.measure_sgx_metadata(size, **kw) for size, kw in grid]
+            assert [measure_sgx_metadata(size, **kw) for size, kw in grid] == expected
 
     def test_mee_geometry_parity(self):
         # 5 KiB / 2-way has 40 sets: unlike a power-of-two set count, it
