@@ -19,21 +19,16 @@ from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from repro.cpu.tenanalyzer.entry import MetaTableEntry, WriteOutcomeKind
+from repro.cpu.tenanalyzer.entry import MetaTableEntry
 from repro.cpu.tenanalyzer.meta_table import LookupKind, MetaTable
 from repro.cpu.tenanalyzer.tensor_filter import TensorFilter
 from repro.cpu.tenanalyzer.vn_store import OffChipVnStore
 from repro.errors import ConfigError
 from repro.sim.stats import Stats
-from repro.sim.trace_batch import KIND_READ
+from repro.sim.trace_batch import KIND_READ, trace_columns
 from repro.units import CACHELINE_BYTES
 
 LINE = CACHELINE_BYTES
-
-
-def _plain_ints(column: Sequence[int]) -> Sequence[int]:
-    """A trace column as plain ``int`` values (NumPy arrays convert)."""
-    return column.tolist() if hasattr(column, "tolist") else column
 
 
 class ReadKind(enum.Enum):
@@ -153,54 +148,33 @@ class TenAnalyzer:
 
     # -- dataflow for writing (Fig. 12) ---------------------------------------
 
-    def on_write_va(self, vaddr: int, mac_delta: int = 0) -> WriteResult:
+    def on_write_va(self, vaddr: int) -> WriteResult:
         """Track a write-back; returns the VN to encrypt the line under.
 
-        ``mac_delta`` is ``old_line_mac ^ new_line_mac`` from the MEE, folded
-        into the entry's on-chip tensor MAC so it stays the XOR of its
-        lines' MACs (Sec. 4.3 construction, reused on the CPU side for the
-        direct-transfer metadata).
+        A covered line is one step of the Meta Table's write run
+        (:meth:`MetaTable.write_run`). The device folds the line's MAC
+        delta into the covering entry afterwards (:meth:`fold_mac`).
         """
         if self.enabled:
             # Writes snoop the Tensor Filter: a write-back to a line inside an
             # in-flight collection changes that line's VN, so the half-built
             # stream must be discarded or it would seed a stale entry.
             self.filter.drop_covering(vaddr)
-        entry = self.table.entry_of(vaddr) if self.enabled else None
-        if entry is None:
-            new_vn = self.vn_store.bump(vaddr)
-            self.stats.add("write_miss")
-            return WriteResult(WriteKind.MISS, new_vn, False, False, 1)
-
-        outcome = entry.write_line(vaddr)
-        if outcome is WriteOutcomeKind.VIOLATION:
-            # Assert1: invalidate and fall back to the off-chip path.
-            self.table.invalidate(entry, reason="assert")
-            new_vn = self.vn_store.bump(vaddr)
-            self.stats.add("write_violation")
-            return WriteResult(WriteKind.MISS, new_vn, False, True, 1)
-
-        entry.mac ^= mac_delta
-        vn = entry.vn if outcome is WriteOutcomeKind.COMPLETED else entry.vn + 1
-        if outcome is WriteOutcomeKind.COMPLETED:
-            self.stats.add("write_completed_tensors")
-            # Entry VN already incremented inside write_line; lines written
-            # this round carry the new VN. A freshly-updated entry is a
-            # merge candidate (consolidates sharded tensors, Fig. 11).
-            self.table.merge_updated(entry)
-            kind = WriteKind.HIT_EDGE
-        elif outcome is WriteOutcomeKind.HIT_EDGE:
-            kind = WriteKind.HIT_EDGE
-        else:
-            kind = WriteKind.HIT_IN
-        self.stats.add(f"write_{kind.value}")
-        return WriteResult(
-            kind,
-            vn,
-            completed_tensor=outcome is WriteOutcomeKind.COMPLETED,
-            violation=False,
-            offchip_vn_writes=0,
-        )
+            vn, written, edges, completed = self.table.write_run(vaddr, 1)
+            if written:
+                kind = WriteKind.HIT_EDGE if edges else WriteKind.HIT_IN
+                self.stats.add(f"write_{kind.value}")
+                if completed:
+                    self.stats.add("write_completed_tensors")
+                return WriteResult(kind, vn, completed, False, 0)
+            entry = self.table.entry_of(vaddr)
+            if entry is not None:
+                # Assert1: invalidate and fall back to the off-chip path.
+                self.table.invalidate(entry, reason="assert")
+                self.stats.add("write_violation")
+                return WriteResult(WriteKind.MISS, self.vn_store.bump(vaddr), False, True, 1)
+        self.stats.add("write_miss")
+        return WriteResult(WriteKind.MISS, self.vn_store.bump(vaddr), False, False, 1)
 
     # -- batched stream replay (columnar traces) -------------------------------
 
@@ -208,15 +182,19 @@ class TenAnalyzer:
         """Replay one columnar trace window; returns the per-access VNs.
 
         ``vaddrs``/``kinds`` are :class:`repro.sim.trace_batch.TraceBatch`
-        columns, as the batch's arrays or as ``columns()`` lists; each kind
-        is ``KIND_READ`` or ``KIND_WRITE`` (a write-back).
+        columns, as the batch's arrays or as ``columns()`` lists: line
+        addresses, each read (``KIND_READ``) or written back
+        (``KIND_WRITE``). Columns that break that contract raise
+        :class:`ConfigError` before any state changes.
 
         The window is split once into maximal runs of same-kind,
-        line-contiguous accesses, and each run is applied in steps:
+        line-contiguous accesses, and each run is applied in Meta Table
+        steps:
 
-        - reads inside one resident entry are one LRU step with bulk VNs
-          (hit-in);
-        - reads from an entry's boundary are one Meta Table step
+        - reads inside one resident entry are one hit-in step
+          (:meth:`MetaTable.read_run`: lookup, coverage count, LRU tick
+          and merge-window touch) with bulk VNs;
+        - reads from an entry's boundary are one step
           (:meth:`MetaTable.extend_run`) that grows the entry over the
           streak of lines whose off-chip VN equals the entry VN. The
           streak stops before a mispredicting line, a line another entry
@@ -224,26 +202,29 @@ class TenAnalyzer:
         - a read neither covered nor a boundary takes the shared miss
           helper (:meth:`_read_miss`): off-chip VN, Tensor Filter, and the
           entry a detection seeds;
-        - writes inside one entry that neither complete it nor hit a
-          flipped line are one bitmap update and one Tensor Filter snoop.
+        - writes inside one entry are one step
+          (:meth:`MetaTable.write_run`: lookup, coverage count and bitmap
+          update) up to and including the write that completes the tensor
+          update, with its VN increment and completion merge attempt.
+          Each write step costs one Tensor Filter snoop.
 
         What is left goes per access through :meth:`on_read_va` /
-        :meth:`on_write_va`: boundary mispredicts, the write that completes
-        an entry, Assert1 violations, uncovered writes, and every access
-        while EnTMF is off. Read counters are added once per window. VNs,
-        table, filter and VN-store state and counter totals equal a
-        per-access replay of the window (pinned by
+        :meth:`on_write_va`: boundary mispredicts, Assert1 violations,
+        uncovered writes, and every access while EnTMF is off; those two
+        call the same steps with one line. The bulk counters are added
+        once per window. VNs, table, filter and VN-store state and counter
+        totals equal a per-access replay of the window (pinned by
         ``tests/test_trace_batch.py``).
         """
+        va, kind = trace_columns(vaddrs, kinds)
         if not self.enabled:
             return [
-                self.on_read_va(vaddr).vn if kind == KIND_READ else self.on_write_va(vaddr).vn
-                for vaddr, kind in zip(_plain_ints(vaddrs), _plain_ints(kinds))
+                self.on_read_va(vaddr).vn if k == KIND_READ else self.on_write_va(vaddr).vn
+                for vaddr, k in zip(va.tolist(), kind.tolist())
             ]
-        if not len(vaddrs):
+        if not len(va):
             return []
-        va = np.asarray(vaddrs, dtype=np.int64)
-        reads = np.asarray(kinds, dtype=np.int64) == KIND_READ
+        reads = kind == KIND_READ
         run_starts = np.flatnonzero(
             np.concatenate(([True], (np.diff(va) != LINE) | (reads[1:] != reads[:-1])))
         )
@@ -252,24 +233,23 @@ class TenAnalyzer:
             np.diff(run_starts, append=len(va)).tolist(),
             reads[run_starts].tolist(),
         )
-        covered_run = self.table.covered_run
+        read_run = self.table.read_run
+        write_run = self.table.write_run
         extend_run = self.table.extend_run
-        touch_run = self.table.touch_run
         drop_covering = self.filter.drop_covering
         read_miss = self._read_miss
         on_read_va = self.on_read_va
         on_write_va = self.on_write_va
         read_hit_in = read_hit_boundary = read_misses = 0
-        write_hit_edge = write_hit_in = 0
+        write_hit_edge = write_hit_in = write_completed = 0
         vns: List[int] = []
         append = vns.append
         extend = vns.extend
         for vaddr, remaining, reading in runs:
             while remaining:
-                entry, n = covered_run(vaddr, remaining)
                 if reading:
-                    if entry is not None:
-                        touch_run(entry, n)
+                    entry, n = read_run(vaddr, remaining)
+                    if n:
                         read_hit_in += n
                         extend(entry.vns_for_run(vaddr, n))
                     else:
@@ -286,12 +266,13 @@ class TenAnalyzer:
                             append(on_read_va(vaddr).vn)
                             n = 1
                 else:
-                    n, edges = entry.write_run(vaddr, n) if entry is not None else (0, 0)
+                    vn, n, edges, completed = write_run(vaddr, remaining)
                     if n:
                         drop_covering(vaddr, n)
                         write_hit_edge += edges
                         write_hit_in += n - edges
-                        extend([entry.vn + 1] * n)
+                        write_completed += completed
+                        extend([vn] * n)
                     else:
                         append(on_write_va(vaddr).vn)
                         n = 1
@@ -304,6 +285,7 @@ class TenAnalyzer:
             ("read_miss", read_misses),
             ("write_hit_edge", write_hit_edge),
             ("write_hit_in", write_hit_in),
+            ("write_completed_tensors", write_completed),
         ):
             if count:
                 stats.add(key, count)

@@ -9,18 +9,19 @@ An entry's *geometry* is a strided rectangle of cachelines:
   merging 1D row entries and can collapse back to 1D when rows become
   contiguous (``stride == run``).
 
-Write tracking implements Fig. 12: an Updating Flag (UF), a bitmap (the set
-of lines flipped this round; BS is implicit — the set is cleared at each
-completion) and the assertions that guarantee every covered line is written
-exactly once per tensor update, keeping the single on-chip VN consistent
-with the off-chip per-line VNs.
+Write tracking state implements Fig. 12: an Updating Flag (UF) and a bitmap
+(the set of lines flipped this round; BS is implicit — the set is cleared at
+each completion). The Meta Table's write step
+(:meth:`~repro.cpu.tenanalyzer.meta_table.MetaTable.write_run`) applies the
+assertions that guarantee every covered line is written exactly once per
+tensor update, keeping the single on-chip VN consistent with the off-chip
+per-line VNs.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Set
 
 from repro.errors import SimulationError
 from repro.units import CACHELINE_BYTES
@@ -28,7 +29,7 @@ from repro.units import CACHELINE_BYTES
 LINE = CACHELINE_BYTES
 
 
-@dataclass
+@dataclass(slots=True)
 class EntryGeometry:
     """A strided rectangle of cachelines.
 
@@ -132,10 +133,6 @@ class EntryGeometry:
         tail_base = self.base_va + self.count * row_bytes
         lines.extend(range(tail_base, tail_base + self.tail_lines * LINE, LINE))
         return lines
-
-    def is_edge_line(self, vaddr: int) -> bool:
-        """First or last covered line (Fig. 12 "hit edge")."""
-        return vaddr == self.base_va or vaddr == self.last_line_va
 
 
 #: Largest representable row stride: the Meta Table stride field is 10 bits
@@ -241,16 +238,7 @@ def try_merge_geometries(a: EntryGeometry, b: EntryGeometry) -> Optional[EntryGe
     return merged
 
 
-class WriteOutcomeKind(enum.Enum):
-    """Classification of a write that hit an entry (Fig. 12)."""
-
-    HIT_EDGE = "hit_edge"
-    HIT_IN = "hit_in"
-    VIOLATION = "violation"
-    COMPLETED = "completed"
-
-
-@dataclass
+@dataclass(slots=True)
 class MetaTableEntry:
     """One Meta Table row: geometry + VN + MAC + write-tracking state."""
 
@@ -281,53 +269,6 @@ class MetaTableEntry:
             vn + 1 if line in flipped else vn
             for line in range(vaddr, vaddr + n_lines * LINE, LINE)
         ]
-
-    # -- write path (Fig. 12) --------------------------------------------------
-
-    def write_line(self, vaddr: int) -> WriteOutcomeKind:
-        """Apply one covered-line write; returns its classification.
-
-        Assert1 (a line must not be written twice before the tensor update
-        completes) invalidates the entry on violation — the caller handles
-        the invalidation; this method only reports it. The update completes
-        when the bitmap covers every covered line (the Assert2 condition),
-        at which point VN increments and UF/bitmap reset.
-        """
-        if not self.geometry.contains_line(vaddr):
-            raise SimulationError(f"write {vaddr:#x} not covered by entry")
-        if vaddr in self.flipped:
-            return WriteOutcomeKind.VIOLATION  # Assert1
-        if not self.updating:
-            self.updating = True  # UF := 1 (start updating, any position)
-        self.flipped.add(vaddr)
-        if len(self.flipped) >= self.geometry.n_lines:
-            self.vn += 1
-            self.flipped.clear()
-            self.updating = False
-            return WriteOutcomeKind.COMPLETED
-        if self.geometry.is_edge_line(vaddr):
-            return WriteOutcomeKind.HIT_EDGE
-        return WriteOutcomeKind.HIT_IN
-
-    def write_run(self, vaddr: int, n_lines: int) -> Tuple[int, int]:
-        """Write up to ``n_lines`` covered lines from ``vaddr`` as one
-        bitmap update; returns ``(written, edge lines among them)``.
-
-        Same effect as ``written`` :meth:`write_line` calls that each
-        return HIT_EDGE or HIT_IN. The run stops before the line that
-        completes the update, and writes nothing when one of its lines is
-        already flipped (Assert1): those are :meth:`write_line`'s to
-        classify, so ``(0, 0)`` leaves the first line to it.
-        """
-        geometry, flipped = self.geometry, self.flipped
-        n_lines = min(n_lines, geometry.n_lines - 1 - len(flipped))
-        lines = range(vaddr, vaddr + n_lines * LINE, LINE)
-        if n_lines <= 0 or (flipped and not flipped.isdisjoint(lines)):
-            return 0, 0
-        self.updating = True
-        flipped.update(lines)
-        # A writable run leaves a line unwritten, so first and last line differ.
-        return n_lines, (geometry.base_va in lines) + (geometry.last_line_va in lines)
 
     def per_line_vns(self) -> Iterator[tuple[int, int]]:
         """(line VA, effective VN) pairs, used to sync off-chip VNs."""

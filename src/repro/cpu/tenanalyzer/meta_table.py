@@ -2,15 +2,20 @@
 
 Holds up to 512 entries (Sec. 6.5). Lookup distinguishes *hit-in* (the
 request falls inside an entry's coverage) from *hit-boundary* (the request
-is an entry's next-extension address). Insertions attempt the Fig.-11 entry
-merging against a window of recently-updated entries; capacity overflow
-evicts the LRU entry, syncing its VN back to the off-chip per-line store.
+is an entry's next-extension address). A read run inside one entry is one
+step (:meth:`MetaTable.read_run`), and so is a write run inside one entry up
+to and including the write that completes its tensor update
+(:meth:`MetaTable.write_run`). Insertions and completions attempt the
+Fig.-11 entry merging against a window of recently-updated entries;
+capacity overflow evicts the LRU entry, syncing its VN back to the off-chip
+per-line store.
 """
 
 from __future__ import annotations
 
 import enum
 import random
+from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
 from repro.cpu.tenanalyzer.entry import (
@@ -67,23 +72,26 @@ class MetaTable:
         self.vn_store = vn_store if vn_store is not None else OffChipVnStore()
         self.stats = stats if stats is not None else Stats("meta_table")
         self._entries: Dict[int, MetaTableEntry] = {}
-        #: Covered line VA -> its entry's id cell: a one-element list that
-        #: every line of one entry shares, so a merge re-points only the
-        #: lines of its smaller part (:meth:`_apply_merge`).
-        self._line_map: Dict[int, List[int]] = {}
+        #: Covered line VA -> its entry's cell: a one-element list holding
+        #: the entry, which every line of the entry shares, so a merge
+        #: re-points only the lines of its smaller part (:meth:`_apply_merge`).
+        self._line_map: Dict[int, List[MetaTableEntry]] = {}
         self._boundary_map: Dict[int, int] = {}  # boundary VA -> entry id
-        self._recent_updates: List[int] = []  # entry ids, most recent last
+        #: Recently updated entry ids as an insertion-ordered dict (values
+        #: unused), most recent last, at most ``4 * merge_window`` long.
+        self._recent_updates: Dict[int, None] = {}
+        self._recent_limit = 4 * merge_window
         self._next_id = 0
         self._tick = 0
 
     # -- indexing helpers ----------------------------------------------------
 
-    def _index_entry(self, entry_id: int, entry: MetaTableEntry) -> None:
-        self._line_map.update(dict.fromkeys(entry.geometry.covered_lines(), [entry_id]))
-        self._boundary_map[entry.geometry.boundary_va()] = entry_id
+    def _index_entry(self, entry: MetaTableEntry) -> None:
+        self._line_map.update(dict.fromkeys(entry.geometry.covered_lines(), [entry]))
+        self._boundary_map[entry.geometry.boundary_va()] = entry.entry_id
 
-    def _cell_of(self, entry: MetaTableEntry) -> List[int]:
-        """The id cell of indexed ``entry`` (every entry covers its base line)."""
+    def _cell_of(self, entry: MetaTableEntry) -> List[MetaTableEntry]:
+        """The cell of indexed ``entry`` (every entry covers its base line)."""
         return self._line_map[entry.geometry.base_va]
 
     def _unindex_entry(self, entry_id: int, entry: MetaTableEntry) -> None:
@@ -97,7 +105,7 @@ class MetaTable:
             del self._boundary_map[boundary]
 
     def touch_run(self, entry: MetaTableEntry, n_lines: int = 1) -> None:
-        """LRU effect of ``n_lines`` consecutive hit-in lookups of ``entry``."""
+        """LRU effect of ``n_lines`` consecutive lookups of ``entry``."""
         self._tick += n_lines
         entry.lru_tick = self._tick
         self._note_updated(entry.entry_id)
@@ -111,21 +119,23 @@ class MetaTable:
         consolidate across iterations.
         """
         recent = self._recent_updates
-        if recent and recent[-1] == entry_id:
-            return
-        if entry_id in recent:
-            recent.remove(entry_id)
-        recent.append(entry_id)
-        del recent[: -4 * self.merge_window]
+        recent.pop(entry_id, None)
+        recent[entry_id] = None
+        if len(recent) > self._recent_limit:
+            del recent[next(iter(recent))]
+
+    def _retire(self, entry_id: int) -> MetaTableEntry:
+        """Take ``entry_id`` out of the table and the merge window (the
+        caller unindexes or re-points its lines)."""
+        self._recent_updates.pop(entry_id, None)
+        return self._entries.pop(entry_id)
 
     # -- lookup ---------------------------------------------------------------
 
     def lookup(self, vaddr: int) -> Tuple[LookupKind, Optional[MetaTableEntry]]:
         """Classify one request address against the table."""
-        cell = self._line_map.get(vaddr)
-        if cell is not None:
-            entry = self._entries[cell[0]]
-            self.touch_run(entry)
+        entry, n = self.read_run(vaddr, 1)
+        if n:
             return LookupKind.HIT_IN, entry
         entry_id = self._boundary_map.get(vaddr)
         if entry_id is not None:
@@ -137,21 +147,92 @@ class MetaTable:
     def entry_of(self, vaddr: int) -> Optional[MetaTableEntry]:
         """Covering entry without LRU side effects."""
         cell = self._line_map.get(vaddr)
-        return self._entries.get(cell[0]) if cell is not None else None
+        return cell[0] if cell is not None else None
 
-    def covered_run(self, vaddr: int, n_lines: int) -> Tuple[Optional[MetaTableEntry], int]:
-        """The entry covering ``vaddr`` and how many of the ``n_lines``
-        lines from ``vaddr`` it covers; ``(None, 0)`` when uncovered.
+    # -- run steps (Figs. 10 and 12) -------------------------------------------
 
-        No LRU side effects. Every covered line of a resident entry maps to
-        that entry in the line index, so the count comes from the entry's
-        geometry in O(1).
+    def read_run(self, vaddr: int, n_lines: int) -> Tuple[Optional[MetaTableEntry], int]:
+        """Fig. 10 hit-in, one run at a time.
+
+        Returns the entry covering ``vaddr`` and how many of the ``n_lines``
+        lines from ``vaddr`` it covers, and gives them the LRU and
+        merge-window effect of that many hit-in lookups; ``(None, 0)``
+        (nothing changed) when ``vaddr`` is uncovered. Every covered line of
+        a resident entry maps to that entry in the line index, so the count
+        comes from the entry's geometry in O(1).
         """
         cell = self._line_map.get(vaddr)
         if cell is None:
             return None, 0
-        entry = self._entries[cell[0]]
-        return entry, min(n_lines, entry.geometry.run_from(vaddr))
+        entry = cell[0]
+        n = entry.geometry.run_from(vaddr)
+        if n > n_lines:
+            n = n_lines
+        # touch_run and _note_updated, inlined: this is the hottest step.
+        self._tick += n
+        entry.lru_tick = self._tick
+        recent, entry_id = self._recent_updates, entry.entry_id
+        recent.pop(entry_id, None)
+        recent[entry_id] = None
+        if len(recent) > self._recent_limit:
+            del recent[next(iter(recent))]
+        return entry, n
+
+    def write_run(self, vaddr: int, n_lines: int) -> Tuple[int, int, int, bool]:
+        """Fig. 12 for covered writes, one run at a time.
+
+        Writes the lines of the ``n_lines`` from ``vaddr`` that the entry
+        covering ``vaddr`` covers, stopping before a line already flipped
+        this round (Assert1) and after the line that completes the tensor
+        update. Returns ``(vn, written, edges, completed)``: the VN the
+        written lines are encrypted under, how many were written, how many
+        of them per-line writes classify as hit-edge, and whether the last
+        one completed the update. A completing write counts as hit-edge
+        wherever it falls; it increments the entry VN, resets UF and the
+        bitmap, and then attempts the completion merge.
+
+        ``written == 0`` (nothing changed) leaves ``vaddr`` to the caller:
+        no entry covers it, or it is an Assert1 violation.
+        """
+        cell = self._line_map.get(vaddr)
+        if cell is None:
+            return 0, 0, 0, False
+        entry = cell[0]
+        geometry, flipped = entry.geometry, entry.flipped
+        n = geometry.run_from(vaddr)
+        if n > n_lines:
+            n = n_lines
+        if flipped:
+            lines = range(vaddr, vaddr + n * LINE, LINE)
+            if not flipped.isdisjoint(lines):
+                n = next(i for i, line in enumerate(lines) if line in flipped)
+                if not n:
+                    return 0, 0, 0, False
+        vn = entry.vn + 1
+        base, last = geometry.base_va, geometry.last_line_va
+        left = geometry.n_lines - len(flipped)  # writes until completion
+        if n < left:
+            end = vaddr + n * LINE
+            entry.updating = True  # UF := 1 (start updating, any position)
+            flipped.update(range(vaddr, end, LINE))
+            return vn, n, (vaddr <= base < end) + (vaddr <= last < end), False
+        # The left-th line completes the update (the Assert2 condition): the
+        # lines before it are flipped and cleared again at once.
+        end = vaddr + (left - 1) * LINE
+        edges = (vaddr <= base < end) + (vaddr <= last < end) + 1
+        entry.vn = vn
+        flipped.clear()
+        entry.updating = False
+        # Completion is when an entry becomes "recently updated" in the
+        # paper's sense; neighbouring shards of the same tensor complete
+        # within a few bursts of each other, so this is where sharded
+        # streaming tensors consolidate. Completion merges are single-entry
+        # attempts (no window sweep): consolidation of a fully sharded
+        # tensor takes several iterations, the gradual hit_in convergence
+        # of Fig. 18.
+        self._note_updated(entry.entry_id)
+        self._merge_against_window(entry.entry_id)
+        return vn, left, edges, True
 
     # -- mutation ---------------------------------------------------------------
 
@@ -228,7 +309,7 @@ class MetaTable:
         # Steal coverage collisions: a new detection overlapping an existing
         # entry invalidates the stale one (conservative, keeps maps 1:1).
         overlapping = {
-            self._line_map[va][0]
+            self._line_map[va][0].entry_id
             for va in entry.geometry.covered_lines()
             if va in self._line_map
         }
@@ -247,7 +328,7 @@ class MetaTable:
         self._tick += 1
         entry.lru_tick = self._tick
         entry.created_tick = self._tick
-        self._index_entry(entry_id, entry)
+        self._index_entry(entry)
         self._note_updated(entry_id)
         return entry_id
 
@@ -260,7 +341,7 @@ class MetaTable:
         coverage completed since their creation (Fig. 11b tiling).
         """
         current_id = self._merge_against_window(entry_id)
-        for candidate_id in self._recent_updates[::-1][: self.merge_window]:
+        for candidate_id in list(islice(reversed(self._recent_updates), self.merge_window)):
             if candidate_id in self._entries and candidate_id != current_id:
                 merged_to = self._merge_against_window(candidate_id)
                 if current_id not in self._entries:
@@ -268,14 +349,17 @@ class MetaTable:
         return current_id
 
     def _merge_against_window(self, entry_id: int) -> int:
-        entries = self._entries
+        entries, width = self._entries, self.merge_window
         current_id = entry_id
         current = entries[current_id]
         while current.mergeable:
-            window = self._recent_updates[::-1]  # ids are unique, most recent first
+            # The ``width`` most recent ids other than the current one.
+            window = list(islice(reversed(self._recent_updates), width + 1))
             if current_id in window:
                 window.remove(current_id)
-            for other_id in window[: self.merge_window]:
+            else:
+                del window[width:]
+            for other_id in window:
                 other = entries.get(other_id)
                 if (
                     other is None
@@ -300,15 +384,13 @@ class MetaTable:
         A fresh id keeps a merged-away part dead for callers that hold its
         id (:meth:`_attempt_merges` scans a snapshot of the window). A
         merge covers exactly the union of its two disjoint parts, so the
-        merged entry takes over the id cell of the part with more lines and
+        merged entry takes over the cell of the part with more lines and
         only the other part's lines are re-pointed at it: the index ends as
         unindexing both parts and indexing the merged entry would leave it.
         """
-        a, b = self._entries.pop(a_id), self._entries.pop(b_id)
+        a, b = self._retire(a_id), self._retire(b_id)
         boundary_map = self._boundary_map
         for stale_id, stale in ((a_id, a), (b_id, b)):
-            if stale_id in self._recent_updates:
-                self._recent_updates.remove(stale_id)
             boundary = stale.geometry.boundary_va()
             if boundary_map.get(boundary) == stale_id:
                 del boundary_map[boundary]
@@ -321,28 +403,11 @@ class MetaTable:
         merged.lru_tick = self._tick
         large, small = (a, b) if a.geometry.n_lines >= b.geometry.n_lines else (b, a)
         cell = self._cell_of(large)
-        cell[0] = merged_id
+        cell[0] = merged
         self._line_map.update(dict.fromkeys(small.geometry.covered_lines(), cell))
         boundary_map[combined.boundary_va()] = merged_id
         self._note_updated(merged_id)
         return merged_id
-
-    def merge_updated(self, entry: MetaTableEntry) -> MetaTableEntry:
-        """Merge attempt at tensor-update completion (VN just incremented).
-
-        Completion is when an entry becomes "recently updated" in the
-        paper's sense; neighbouring shards of the same tensor complete
-        within a few bursts of each other, so this is where sharded
-        streaming tensors consolidate.
-        """
-        entry_id = self._id_of(entry)
-        self._note_updated(entry_id)
-        # Completion merges are single-entry attempts (no window sweep):
-        # only the tensor that just finished updating scans its window.
-        # Consolidation of a fully sharded tensor therefore takes several
-        # iterations — the gradual hit_in convergence of Fig. 18.
-        merged_id = self._merge_against_window(entry_id)
-        return self._entries[merged_id]
 
     def invalidate(self, entry: MetaTableEntry, reason: str = "assert") -> int:
         """Drop an entry, syncing per-line VNs off-chip; returns sync count."""
@@ -356,9 +421,7 @@ class MetaTable:
         else:
             synced = self.vn_store.sync(entry.geometry.covered_lines(), entry.vn)
         self._unindex_entry(entry_id, entry)
-        del self._entries[entry_id]
-        if entry_id in self._recent_updates:
-            self._recent_updates.remove(entry_id)
+        self._retire(entry_id)
         self.stats.add(f"invalidations_{reason}")
         self.stats.add("sync_lines", synced)
         return synced
@@ -389,5 +452,7 @@ class MetaTable:
 
     def covering_range(self, base_va: int, n_lines: int) -> Optional[MetaTableEntry]:
         """Entry covering every line of the contiguous range, or None."""
-        entry, covered = self.covered_run(base_va, n_lines)
-        return entry if 0 < n_lines == covered else None
+        entry = self.entry_of(base_va)
+        if entry is None or not 0 < n_lines <= entry.geometry.run_from(base_va):
+            return None
+        return entry

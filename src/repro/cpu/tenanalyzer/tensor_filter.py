@@ -10,7 +10,6 @@ tensors concurrently; LRU eviction discards noise streams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.cpu.tenanalyzer.entry import MAX_STRIDE_LINES, EntryGeometry
@@ -38,25 +37,6 @@ def _stream_geometry(base_va: int, run: int, stride_lines: int) -> EntryGeometry
         count=run,
         extensible_run=False,
     )
-
-
-@dataclass
-class FilterEntry:
-    """One in-flight candidate stream."""
-
-    base_va: int
-    vn: int
-    collected: int = 1
-    lru_tick: int = 0
-    #: Locked line stride of the candidate (1 = contiguous). Stride-aware
-    #: collection locks it on the second observation; the default filter
-    #: never changes it.
-    stride_lines: int = 1
-    #: The address that continues the stream, kept up to date by the filter.
-    next_va: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.next_va = self.base_va + self.collected * self.stride_lines * LINE
 
 
 class TensorFilter:
@@ -89,7 +69,25 @@ class TensorFilter:
         self.stats = stats if stats is not None else Stats("tensor_filter")
         self.stride_detect = stride_detect
         self.max_stride_lines = max_stride_lines
-        self._entries: List[FilterEntry] = []
+        # In-flight candidate streams as parallel columns, one slot per
+        # stream in allocation order: first line, VN, lines collected, tick
+        # of the last observation, locked line stride (1 = contiguous;
+        # stride-aware collection locks it on the second observation) and
+        # the address that continues the stream.
+        self._base: List[int] = []
+        self._vn: List[int] = []
+        self._collected: List[int] = []
+        self._lru_tick: List[int] = []
+        self._stride: List[int] = []
+        self._next: List[int] = []
+        self._columns = (
+            self._base,
+            self._vn,
+            self._collected,
+            self._lru_tick,
+            self._stride,
+            self._next,
+        )
         self._tick = 0
 
     def observe(self, vaddr: int, vn: int) -> Optional[EntryGeometry]:
@@ -100,45 +98,58 @@ class TensorFilter:
         address pattern with one shared VN.
         """
         self._tick += 1
-        for index, entry in enumerate(self._entries):
-            if vaddr == entry.next_va:
-                if vn != entry.vn:
-                    # VN broke the tensor condition: restart the stream here.
-                    self._entries[index] = FilterEntry(vaddr, vn, lru_tick=self._tick)
-                    self.stats.add("vn_restarts")
-                    return None
-                entry.collected += 1
-                entry.next_va += entry.stride_lines * LINE
-                entry.lru_tick = self._tick
-                if entry.collected >= self.collect_target:
-                    self._entries.pop(index)
-                    self.stats.add("detections")
-                    return _stream_geometry(
-                        entry.base_va, entry.collected, entry.stride_lines
-                    )
+        nexts = self._next
+        if vaddr in nexts:
+            index = nexts.index(vaddr)  # the first stream it continues
+            if vn != self._vn[index]:
+                # VN broke the tensor condition: restart the stream here.
+                for column, value in zip(self._columns, self._new_stream(vaddr, vn)):
+                    column[index] = value
+                self.stats.add("vn_restarts")
                 return None
+            collected = self._collected[index] + 1
+            if collected >= self.collect_target:
+                base, stride = self._base[index], self._stride[index]
+                self._drop(index)
+                self.stats.add("detections")
+                return _stream_geometry(base, collected, stride)
+            self._collected[index] = collected
+            self._lru_tick[index] = self._tick
+            nexts[index] = vaddr + self._stride[index] * LINE
+            return None
         if self.stride_detect:
-            for entry in self._entries:
-                if entry.collected != 1 or vn != entry.vn:
+            for index, (base, stream_vn, collected) in enumerate(
+                zip(self._base, self._vn, self._collected)
+            ):
+                if collected != 1 or vn != stream_vn:
                     continue
-                diff = vaddr - entry.base_va
+                diff = vaddr - base
                 if diff > LINE and diff % LINE == 0 and diff // LINE <= self.max_stride_lines:
-                    entry.stride_lines = diff // LINE
-                    entry.collected = 2
-                    entry.next_va = vaddr + diff
-                    entry.lru_tick = self._tick
+                    self._stride[index] = diff // LINE
+                    self._collected[index] = 2
+                    self._lru_tick[index] = self._tick
+                    nexts[index] = vaddr + diff
                     self.stats.add("stride_locks")
                     return None
         self._allocate(vaddr, vn)
         return None
 
     def _allocate(self, vaddr: int, vn: int) -> None:
-        if len(self._entries) >= self.n_entries:
-            ticks = [entry.lru_tick for entry in self._entries]
-            self._entries.pop(ticks.index(min(ticks)))  # the first least-recent
+        if len(self._base) >= self.n_entries:
+            ticks = self._lru_tick
+            self._drop(ticks.index(min(ticks)))  # the first least-recent
             self.stats.add("evictions")
-        self._entries.append(FilterEntry(vaddr, vn, lru_tick=self._tick))
+        for column, value in zip(self._columns, self._new_stream(vaddr, vn)):
+            column.append(value)
         self.stats.add("allocations")
+
+    def _new_stream(self, vaddr: int, vn: int) -> tuple:
+        """The column values of a one-line contiguous stream at ``vaddr``."""
+        return vaddr, vn, 1, self._tick, 1, vaddr + LINE
+
+    def _drop(self, index: int) -> None:
+        for column in self._columns:
+            del column[index]
 
     def drop_covering(self, vaddr: int, n_lines: int = 1) -> None:
         """Drop any stream that already reached past one of the ``n_lines``
@@ -148,18 +159,17 @@ class TensorFilter:
         calls. A stream is reached when the first run address at or above
         its base lies inside the run and below its next address.
         """
-        if not self._entries:
+        if not self._base:
             return
         last = vaddr + (n_lines - 1) * LINE
-        self._entries = [
-            e
-            for e in self._entries
-            if not (
-                e.base_va <= last
-                and max(vaddr, vaddr - (vaddr - e.base_va) // LINE * LINE) < e.next_va
-            )
+        reached = [
+            index
+            for index, (base, next_va) in enumerate(zip(self._base, self._next))
+            if base <= last and max(vaddr, vaddr - (vaddr - base) // LINE * LINE) < next_va
         ]
+        for index in reversed(reached):
+            self._drop(index)
 
     @property
     def occupancy(self) -> int:
-        return len(self._entries)
+        return len(self._base)

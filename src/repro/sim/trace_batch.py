@@ -5,7 +5,9 @@ addresses, each a read or a write (Fig. 9b of the paper). A
 :class:`TraceBatch` holds exactly that, as two parallel NumPy ``int64``
 columns: ``vaddr``, the line-aligned virtual address a core issued, and
 ``kind``, :data:`KIND_READ` or :data:`KIND_WRITE`. The workload
-generators emit batches and the replay loops consume their columns.
+generators emit batches and the replay loops consume their columns;
+:func:`trace_columns` is the one check of that contract, shared by the
+batch and by replays that take bare columns.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.units import CACHELINE_BYTES
 
 #: Codes of the ``kind`` column.
 KIND_READ = 0
@@ -29,18 +32,30 @@ def _column(values: Sequence[int]) -> np.ndarray:
     return array
 
 
+def trace_columns(vaddr: Sequence[int], kind: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """Both columns as ``int64`` arrays, checked against the trace contract.
+
+    Raises :class:`ConfigError` unless the columns are one-dimensional and
+    equally long, every address is line-aligned and every kind is
+    :data:`KIND_READ` or :data:`KIND_WRITE`.
+    """
+    vaddr, kind = _column(vaddr), _column(kind)
+    if len(kind) != len(vaddr):
+        raise ConfigError(f"trace columns must be equal length, got {len(vaddr)}/{len(kind)}")
+    if (vaddr & (CACHELINE_BYTES - 1)).any():  # a power-of-two line: a mask, not a division
+        raise ConfigError("trace addresses must be line-aligned")
+    if ((kind != KIND_READ) & (kind != KIND_WRITE)).any():
+        raise ConfigError("trace kinds must be KIND_READ or KIND_WRITE")
+    return vaddr, kind
+
+
 class TraceBatch:
     """A memory trace, stored column-wise."""
 
     __slots__ = ("vaddr", "kind")
 
     def __init__(self, vaddr: Sequence[int], kind: Sequence[int]) -> None:
-        self.vaddr = _column(vaddr)
-        self.kind = _column(kind)
-        if len(self.kind) != len(self.vaddr):
-            raise ConfigError(
-                f"trace columns must be equal length, got {len(self.vaddr)}/{len(self.kind)}"
-            )
+        self.vaddr, self.kind = trace_columns(vaddr, kind)
 
     def __len__(self) -> int:
         return len(self.vaddr)

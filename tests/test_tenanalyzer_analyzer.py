@@ -200,10 +200,26 @@ class TestMerge:
         assert not parts & set(table._entries)
         assert (merged.geometry.base_va, merged.geometry.n_lines, merged.vn) == (BASE, 8, 1)
         cell = table._line_map[BASE]
-        assert cell == [merged.entry_id]
+        assert table.entry_of(BASE) is merged
         assert all(table._line_map[line] is cell for line in merged.geometry.covered_lines())
         assert len(table._line_map) == 8
         assert table._boundary_map == {BASE + 8 * LINE: merged.entry_id}
+
+    def test_fold_mac_after_a_completion_merge_reaches_the_merged_entry(self):
+        # The device folds a write's MAC delta after the write returns,
+        # by which time the write's completion has merged its entry away.
+        analyzer = TenAnalyzer()
+        analyzer.install_from_transfer(BASE, 4, vn=1)
+        analyzer.install_from_transfer(BASE + 4 * LINE, 4, vn=0)
+        assert analyzer.fold_mac(BASE, 0x1111)
+        assert analyzer.fold_mac(BASE + 4 * LINE, 0x2222)
+        for i in range(4, 8):
+            result = write(analyzer, BASE + i * LINE)  # the last completes 4-7 at VN 1
+        assert result.completed_tensor and analyzer.table.stats["merges"] == 1
+        assert analyzer.fold_mac(BASE + 7 * LINE, 0x4444)
+        (merged,) = analyzer.table.entries()
+        assert (merged.geometry.base_va, merged.geometry.n_lines, merged.vn) == (BASE, 8, 1)
+        assert merged.mac == 0x1111 ^ 0x2222 ^ 0x4444
 
 
 class TestTransferInstall:

@@ -4,12 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cpu.tenanalyzer.entry import (
-    EntryGeometry,
-    MetaTableEntry,
-    WriteOutcomeKind,
-    try_merge_geometries,
-)
+from repro.cpu.tenanalyzer.entry import EntryGeometry, try_merge_geometries
+from repro.cpu.tenanalyzer.meta_table import MetaTable
 from repro.errors import SimulationError
 
 LINE = 64
@@ -55,10 +51,9 @@ class TestGeometry:
         assert list(g.covered_lines()) == [0, LINE, 8 * LINE, 9 * LINE]
 
     def test_edge_detection(self):
-        g = geom_1d(0, 4)
-        assert g.is_edge_line(0)
-        assert g.is_edge_line(3 * LINE)
-        assert not g.is_edge_line(LINE)
+        # Fig. 12 "hit edge": a write to the first or the last covered line.
+        table, _ = tracked(geom_1d(0, 4), vn=0)
+        assert [write(table, i * LINE)[2] for i in (0, 3, 1)] == [1, 1, 0]
 
     def test_invalid_geometry_rejected(self):
         with pytest.raises(SimulationError):
@@ -130,46 +125,58 @@ class TestMerging:
         assert set(merged.covered_lines()) == union
 
 
+def tracked(geometry: EntryGeometry, vn: int):
+    """A Meta Table holding one entry: write tracking is the table's write step."""
+    table = MetaTable()
+    return table, table.insert(geometry, vn=vn)
+
+
+def write(table: MetaTable, vaddr: int):
+    """One line through the write step: ``(vn, written, edges, completed)``."""
+    return table.write_run(vaddr, 1)
+
+
 class TestWriteTracking:
     def test_full_update_increments_vn(self):
-        entry = MetaTableEntry(geometry=geom_1d(0, 4), vn=3)
-        outcomes = [entry.write_line(i * LINE) for i in range(4)]
-        assert outcomes[-1] is WriteOutcomeKind.COMPLETED
+        table, entry = tracked(geom_1d(0, 4), vn=3)
+        outcomes = [write(table, i * LINE) for i in range(4)]
+        assert [completed for *_, completed in outcomes] == [False, False, False, True]
+        assert all(vn == 4 for vn, *_ in outcomes)
         assert entry.vn == 4
         assert not entry.updating and not entry.flipped
 
     def test_double_write_violates_assert1(self):
-        entry = MetaTableEntry(geometry=geom_1d(0, 4), vn=0)
-        entry.write_line(0)
-        assert entry.write_line(0) is WriteOutcomeKind.VIOLATION
+        table, entry = tracked(geom_1d(0, 4), vn=0)
+        write(table, 0)
+        # Assert1: the step writes nothing and leaves the line to the caller.
+        assert write(table, 0)[1] == 0
+        assert entry.flipped == {0} and entry.vn == 0
 
     def test_vn_for_line_during_update(self):
-        entry = MetaTableEntry(geometry=geom_1d(0, 4), vn=5)
-        entry.write_line(LINE)
+        table, entry = tracked(geom_1d(0, 4), vn=5)
+        write(table, LINE)
         assert entry.vn_for_line(LINE) == 6  # flipped -> new VN
         assert entry.vn_for_line(0) == 5  # untouched -> old VN
 
     def test_edge_classification(self):
-        entry = MetaTableEntry(geometry=geom_1d(0, 4), vn=0)
-        assert entry.write_line(0) is WriteOutcomeKind.HIT_EDGE
-        assert entry.write_line(LINE) is WriteOutcomeKind.HIT_IN
+        table, _ = tracked(geom_1d(0, 4), vn=0)
+        assert write(table, 0) == (1, 1, 1, False)  # hit-edge
+        assert write(table, LINE) == (1, 1, 0, False)  # hit-in
 
-    def test_uncovered_write_raises(self):
-        entry = MetaTableEntry(geometry=geom_1d(0, 4), vn=0)
-        with pytest.raises(SimulationError):
-            entry.write_line(100 * LINE)
+    def test_uncovered_write_is_left_to_the_caller(self):
+        table, entry = tracked(geom_1d(0, 4), vn=0)
+        assert write(table, 100 * LINE)[1] == 0
+        assert not entry.updating and not entry.flipped
 
     @given(order=st.permutations(list(range(8))))
     @settings(max_examples=30, deadline=None)
     def test_property_any_order_completes_once(self, order):
-        entry = MetaTableEntry(geometry=geom_1d(0, 8), vn=0)
-        completions = sum(
-            entry.write_line(i * LINE) is WriteOutcomeKind.COMPLETED for i in order
-        )
+        table, entry = tracked(geom_1d(0, 8), vn=0)
+        completions = sum(write(table, i * LINE)[3] for i in order)
         assert completions == 1
         assert entry.vn == 1
 
     def test_mergeable_excludes_updating(self):
-        entry = MetaTableEntry(geometry=geom_1d(0, 4), vn=0)
-        entry.write_line(0)
+        table, entry = tracked(geom_1d(0, 4), vn=0)
+        write(table, 0)
         assert not entry.mergeable

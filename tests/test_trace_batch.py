@@ -10,6 +10,7 @@ guarantee.
 """
 
 import collections
+import copy
 import itertools
 import random
 
@@ -21,6 +22,7 @@ from oracles import traces as traces_oracle
 
 from repro.cpu.metadata_model import measure_sgx_metadata
 from repro.cpu.tenanalyzer import TenAnalyzer
+from repro.errors import ConfigError
 from repro.eval.scenarios import mee_cache_geometry
 from repro.eval.sweep import expand, load_spec
 from repro.mem.cache import LruCacheCore
@@ -90,7 +92,7 @@ def _bursty_script(seed, windows=8, bursts=60):
 
 def _streak_scripts():
     """Hand-built replay scripts, one per way a hit-boundary streak starts,
-    stops or resumes.
+    stops or resumes, and a write run that completes an entry mid-run.
 
     Line numbers count from line 0x4000. Entries come from transfer
     installs. Two runs of equal length and VN merge into one strided
@@ -167,6 +169,15 @@ def _streak_scripts():
             window((200, 212)),
             window((300, 301), (302, 303), (304, 305), (306, 307), (308, 311)),
         ],
+        # One write run completes the 8-line entry at 0 on line 3 (neither
+        # its first nor its last line), starts its next round on lines 4-7
+        # and runs on into the entry at 8, which holds another VN.
+        "completion_mid_run": [
+            install(0, 8, 0),
+            install(8, 6, 3),
+            window((4, 8, KIND_WRITE)),
+            window((0, 12, KIND_WRITE)),
+        ],
     }
 
 
@@ -210,11 +221,12 @@ def _tile_views(dtype):
 
 def _assert_index_exact(table):
     """The invariant coalesced replay relies on: every covered line of every
-    resident entry maps to that entry in the line index, through the one id
+    resident entry maps to that entry in the line index, through the one
     cell all of the entry's lines share, and no other line is indexed."""
     for entry_id, entry in table._entries.items():
         cell = table._line_map[entry.geometry.base_va]
-        assert cell == [entry_id]
+        # Every line shares the base line's cell, so it maps to this id too.
+        assert table.entry_of(entry.geometry.base_va).entry_id == entry_id
         for line in entry.geometry.covered_lines():
             assert table._line_map[line] is cell
     assert len(table._line_map) == sum(e.geometry.n_lines for e in table._entries.values())
@@ -226,12 +238,12 @@ def _analyzer_state(analyzer):
     return {
         "stats": analyzer.stats.as_dict(),
         "entries": dict(table._entries),
-        "line_map": {line: cell[0] for line, cell in table._line_map.items()},
+        "line_map": {line: table.entry_of(line).entry_id for line in table._line_map},
         "boundary_map": dict(table._boundary_map),
         "recent_updates": list(table._recent_updates),
         "ticks": (table._tick, table._next_id, filt._tick),
         "replacement_rng": table._rng.getstate(),
-        "filter_entries": list(filt._entries),
+        "filter_streams": list(zip(*filt._columns)),
         "vn_store": dict(analyzer.vn_store._vn),
     }
 
@@ -456,6 +468,26 @@ class TestModeParity:
             for key in ref_state:
                 assert batch_state[key] == ref_state[key], (name, key)
 
+    def test_write_run_completes_mid_entry(self):
+        # Per access, every completing write counts as hit-edge, wherever
+        # it falls in the entry; the write step counts it the same way.
+        script = _streak_scripts()["completion_mid_run"]
+        results = [
+            _run_script(TenAnalyzer(), replay, script)
+            for replay in (TenAnalyzer.replay_window, _replay_per_access)
+        ]
+        for vns, state in results:
+            assert vns == [[1] * 4, [1] * 4 + [2] * 4 + [4] * 4]
+            counts = {
+                key: state["stats"][f"tenanalyzer.{key}"]
+                for key in ("write_hit_edge", "write_hit_in", "write_completed_tensors")
+            }
+            assert counts == {
+                "write_hit_edge": 5,
+                "write_hit_in": 11,
+                "write_completed_tensors": 1,
+            }
+
     def test_meta_table_merge_matches_full_reindex(self):
         # A merge re-points only its smaller part's lines; the oracle table
         # pops every line of both parts and indexes the merged entry anew.
@@ -512,3 +544,37 @@ class TestModeParity:
         a, b, c = build_gemm_tensors(registry, config)
         expected = traces_oracle.gemm_columns(a, b, c, config)
         assert gemm_batch(a, b, c, config).columns() == expected
+
+
+#: Columns that break the trace contract: unaligned addresses, kinds other
+#: than read and write, the unaligned window that used to feed the Tensor
+#: Filter before failing, and columns of unequal length or of two
+#: dimensions.
+MALFORMED_COLUMNS = [
+    ([1, 2, 3], [0, 7, -1]),
+    ([LINE, LINE + 8], [KIND_READ, KIND_READ]),
+    ([LINE, 2 * LINE], [KIND_READ, 2]),
+    ([LINE], [-1]),
+    ([0x10008 + LINE * i for i in range(6)], [KIND_READ] * 6),
+    ([LINE, 2 * LINE, 3 * LINE], [KIND_READ, KIND_WRITE]),
+    ([[LINE, 2 * LINE]], [[KIND_READ, KIND_WRITE]]),
+]
+
+
+class TestTraceContract:
+    @pytest.mark.parametrize("vaddrs, kinds", MALFORMED_COLUMNS)
+    def test_trace_batch_refuses_malformed_columns(self, vaddrs, kinds):
+        with pytest.raises(ConfigError):
+            TraceBatch(vaddrs, kinds)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("vaddrs, kinds", MALFORMED_COLUMNS)
+    def test_replay_refuses_malformed_columns_before_any_change(self, vaddrs, kinds, enabled):
+        analyzer = TenAnalyzer(enabled=enabled)
+        analyzer.install_from_transfer(0x40000, 8, vn=2)
+        # Two misses leave a half-collected Tensor Filter stream.
+        analyzer.replay_window([0x80000, 0x80000 + LINE], [KIND_READ, KIND_READ])
+        before = copy.deepcopy(_analyzer_state(analyzer))
+        with pytest.raises(ConfigError):
+            analyzer.replay_window(vaddrs, kinds)
+        assert _analyzer_state(analyzer) == before
